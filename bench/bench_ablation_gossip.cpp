@@ -38,7 +38,7 @@ CaseResult run_case(double gossip_mult, double sampling_mult) {
   int consensus = 0;
   for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
     RngFactory rngs{seed};
-    const DrrResult drr = run_drr(kN, rngs, sim::FaultModel{kDelta, 0.0});
+    const DrrResult drr = run_drr(kN, rngs, sim::FaultSchedule{kDelta, 0.0});
     const auto values = bench::make_values(kN, seed);
     std::vector<std::uint64_t> keys(kN, kKeyBottom);
     std::uint64_t top = kKeyBottom;
@@ -49,7 +49,7 @@ CaseResult run_case(double gossip_mult, double sampling_mult) {
     GossipMaxConfig cfg;
     cfg.gossip_multiplier = gossip_mult;
     cfg.sampling_multiplier = sampling_mult;
-    const auto gm = run_gossip_max(drr.forest, keys, rngs, sim::FaultModel{kDelta, 0.0}, cfg);
+    const auto gm = run_gossip_max(drr.forest, keys, rngs, sim::FaultSchedule{kDelta, 0.0}, cfg);
     frac.add(fraction_of_roots_with_key(drr.forest, gm.key_after_gossip, top));
     consensus += fraction_of_roots_with_key(drr.forest, gm.key, top) == 1.0 ? 1 : 0;
     msgs.add(static_cast<double>(gm.counters.sent));

@@ -24,7 +24,7 @@ void run_case(benchmark::State& state, double delta) {
   for (auto _ : state) {
     for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
-      const DrrResult r = run_drr(n, rngs, sim::FaultModel{delta, 0.0});
+      const DrrResult r = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
       msgs.add(static_cast<double>(r.counters.sent));
       rounds.add(r.rounds);
       probes.add(static_cast<double>(r.total_probes) / n);

@@ -29,7 +29,7 @@ api::RunSpec failure_spec(api::Aggregate agg, std::uint64_t seed, double loss,
   spec.n = kN;
   spec.aggregate = agg;
   spec.seed = seed;
-  spec.faults = sim::FaultModel{loss, crash};
+  spec.faults = sim::FaultSchedule{loss, crash};
   if (robust_push_sum) {
     DrrGossipConfig cfg;
     cfg.push_sum.rounds_multiplier = 8.0;

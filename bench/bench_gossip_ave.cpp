@@ -36,7 +36,7 @@ struct AveRun {
 
 AveRun run_tracked(std::uint32_t n, std::uint64_t seed, double delta) {
   RngFactory rngs{seed};
-  const DrrResult drr = run_drr(n, rngs, sim::FaultModel{delta, 0.0});
+  const DrrResult drr = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
   const auto values = bench::make_values(n, seed);
   std::vector<double> num0(n, 0.0), den0(n, 0.0);
   double ns = 0.0, ds = 0.0;
@@ -50,7 +50,7 @@ AveRun run_tracked(std::uint32_t n, std::uint64_t seed, double delta) {
   cfg.forward_via_trees = false;  // the G~ = clique(V~) process of the analysis
   cfg.track_potential = true;
   cfg.rounds_multiplier = 6.0;
-  return {run_root_push_sum(drr.forest, num0, den0, rngs, sim::FaultModel{delta, 0.0}, cfg),
+  return {run_root_push_sum(drr.forest, num0, den0, rngs, sim::FaultSchedule{delta, 0.0}, cfg),
           ns / ds};
 }
 

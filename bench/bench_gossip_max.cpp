@@ -32,7 +32,7 @@ void run_case(benchmark::State& state, double delta) {
   for (auto _ : state) {
     for (std::uint64_t seed : bench::trial_seeds(kTrials)) {
       RngFactory rngs{seed};
-      const DrrResult drr = run_drr(n, rngs, sim::FaultModel{delta, 0.0});
+      const DrrResult drr = run_drr(n, rngs, sim::FaultSchedule{delta, 0.0});
       const auto values = bench::make_values(n, seed);
       std::vector<std::uint64_t> keys(n, kKeyBottom);
       std::uint64_t top = kKeyBottom;
@@ -41,7 +41,7 @@ void run_case(benchmark::State& state, double delta) {
         top = std::max(top, keys[r]);
       }
       const auto gm =
-          run_gossip_max(drr.forest, keys, rngs, sim::FaultModel{delta, 0.0});
+          run_gossip_max(drr.forest, keys, rngs, sim::FaultSchedule{delta, 0.0});
       frac_gossip.add(fraction_of_roots_with_key(drr.forest, gm.key_after_gossip, top));
       const double after =
           fraction_of_roots_with_key(drr.forest, gm.key, top);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     spec.n = n;
     spec.aggregate = agg;
     spec.seed = s;
-    spec.faults = sim::FaultModel{loss, crash};
+    spec.faults = sim::FaultSchedule{loss, crash};
     spec.values = values;
     spec.rank_threshold = 50.0;
     spec.config = robust;

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   }
   temperature[rng.next_below(n)] = 71.5;  // a hot spot worth finding
 
-  const sim::FaultModel faults{loss, 0.0};
+  const sim::FaultSchedule faults{loss, 0.0};
   RngFactory rngs{seed};
 
   // Phase I: Local-DRR partitions the field into shallow trees.

@@ -63,6 +63,31 @@ template <class T>
   return workload::make_values(spec.n, spec.seed, range);
 }
 
+/// Thread-safe memo of the last value built: get() returns the held value
+/// when `key` matches and `usable` accepts it, else builds a value outside
+/// the lock and holds it.  Values are O(1) shared_ptr-backed handles.
+template <class Key, class Value>
+class LastEntryMemo {
+ public:
+  template <class Build, class Usable>
+  [[nodiscard]] Value get(const Key& key, Build&& build, Usable&& usable) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (key_ == key && usable(value_)) return value_;
+    }
+    Value fresh = build();
+    const std::lock_guard<std::mutex> lock(mu_);
+    key_ = key;
+    value_ = fresh;
+    return fresh;
+  }
+
+ private:
+  std::mutex mu_;
+  std::optional<Key> key_;
+  Value value_{};
+};
+
 /// The run's environment: topology materialised from the spec's seed
 /// (randomized builders resample per trial) plus the fault schedule.
 /// Materialisation is memoised (last-used entry): a Monte-Carlo sweep over
@@ -93,24 +118,10 @@ template <class T>
   const bool randomized = spec.topology.kind == sim::TopologyKind::kRandomRegular;
   const Key key{topo_spec.kind, topo_spec.degree, topo_spec.torus, topo_spec.backend,
                 spec.n, randomized ? seed : 0};
-  static std::mutex mu;
-  static std::optional<Key> cached_key;
-  static sim::Topology cached;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (cached_key.has_value() && *cached_key == key) {
-      sim::Scenario s{cached, spec.faults};
-      s.intra_threads = spec.intra_threads;
-      return s;
-    }
-  }
-  sim::Topology topology = sim::make_topology(topo_spec, spec.n, seed);
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    cached_key = key;
-    cached = topology;
-  }
-  sim::Scenario s{std::move(topology), spec.faults};
+  static LastEntryMemo<Key, sim::Topology> memo;
+  sim::Scenario s{memo.get(key, [&] { return sim::make_topology(topo_spec, spec.n, seed); },
+                           [](const sim::Topology&) { return true; }),
+                  spec.faults};
   s.intra_threads = spec.intra_threads;
   return s;
 }
@@ -186,24 +197,19 @@ struct ChordSubstrate {
     bool operator==(const Key&) const = default;
   };
   const Key key{n, seed};
-  static std::mutex mu;
-  static std::optional<Key> cached_key;
-  static ChordSubstrate cached;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (cached_key.has_value() && *cached_key == key &&
-        (!want_links || cached.links != nullptr))
-      return cached;
-  }
-  ChordSubstrate fresh;
-  fresh.overlay = std::make_shared<const ChordOverlay>(n, seed);
-  if (want_links) fresh.links = std::make_shared<const Graph>(overlay_graph(*fresh.overlay));
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    cached_key = key;
-    cached = fresh;
-  }
-  return fresh;
+  static LastEntryMemo<Key, ChordSubstrate> memo;
+  return memo.get(
+      key,
+      [&] {
+        ChordSubstrate fresh;
+        fresh.overlay = std::make_shared<const ChordOverlay>(n, seed);
+        if (want_links)
+          fresh.links = std::make_shared<const Graph>(overlay_graph(*fresh.overlay));
+        return fresh;
+      },
+      // A cached entry built without links is rebuilt for a caller that
+      // wants them.
+      [&](const ChordSubstrate& cached) { return !want_links || cached.links != nullptr; });
 }
 
 /// Rejection helper for the Chord families, whose substrate is the

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "rootgossip/flat_executor.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 
@@ -52,7 +53,6 @@ struct PushSumProtocol {
       : forest(f),
         forward(cfg.forward_via_trees),
         relay(relay_members && cfg.forward_via_trees),
-        recover(cfg.recover_lost_mass),
         ack_deadline(latency_bound),
         num(n, 0.0),
         den(n, 0.0),
@@ -96,7 +96,6 @@ struct PushSumProtocol {
   const Forest& forest;
   bool forward;
   bool relay;  // explicit topology: leave the tree via a random member
-  bool recover;
   std::uint32_t ack_deadline;  // latency bound; 0 = same-round resolution
   std::vector<double> num;
   std::vector<double> den;
@@ -124,12 +123,10 @@ struct PushSumProtocol {
       for (double& yj : row) yj *= 0.5;
       m.y = row;
     }
-    if (recover) {
-      if constexpr (kTrack) {
-        pending[v].push_back(Outstanding{m.seq, net.round(), m.num, m.den, m.y});
-      } else {
-        pending[v].push_back(Outstanding{m.seq, net.round(), m.num, m.den, {}});
-      }
+    if constexpr (kTrack) {
+      pending[v].push_back(Outstanding{m.seq, net.round(), m.num, m.den, m.y});
+    } else {
+      pending[v].push_back(Outstanding{m.seq, net.round(), m.num, m.den, {}});
     }
     if (relay) {
       const auto members = forest.tree_members(v);
@@ -159,7 +156,7 @@ struct PushSumProtocol {
       // leaks into bystanders.
       return;
     }
-    if (recover && m.first_hop) {
+    if (m.first_hop) {
       // Acknowledge on the established call: the sender now knows its
       // half arrived (replies are reliable in the §2 model).
       net.reply(dst, src, Msg{0.0, 0.0, m.seq, false, Msg::Kind::kAck, {}}, 1);
@@ -203,7 +200,7 @@ struct PushSumProtocol {
   }
 
   void on_round_end(sim::Network<Msg>& net, sim::NodeId v) {
-    if (!recover || pending[v].empty()) return;
+    if (pending[v].empty()) return;
     // Every half whose latest possible ack round has passed was lost:
     // re-absorb it so no (num, den) mass leaves the system.  Halves still
     // inside the latency window stay parked.
@@ -241,6 +238,43 @@ struct PushSumProtocol {
       }
     }
     return phi;
+  }
+};
+
+/// Flat-executor policy (rootgossip/flat_executor.hpp), production mode
+/// (forwarding on, no potential tracking): a root halves its (num, den)
+/// pair and sends one half; at a root an arriving half is added, so every
+/// IEEE-754 accumulation happens in exact delivery order.  With no faults
+/// possible, every first hop is acknowledged: the 1-bit ack is pure
+/// message accounting and the lost-mass bookkeeping never fires.
+struct PushSumFlat {
+  struct Payload {
+    double num;
+    double den;
+  };
+
+  std::uint32_t push_rounds;
+  std::uint32_t drain;
+  std::uint32_t pair_bits;
+  double* num;
+  double* den;
+
+  [[nodiscard]] std::uint32_t total_rounds() const { return push_rounds + drain; }
+  [[nodiscard]] bool calls_in(std::uint32_t r) const { return r < push_rounds; }
+  [[nodiscard]] Payload call(NodeId v, std::uint32_t) const {
+    num[v] *= 0.5;
+    den[v] *= 0.5;
+    return {num[v], den[v]};
+  }
+  template <class Send>
+  void arrive(NodeId root, const Payload& m, Send&&) const {
+    num[root] += m.num;
+    den[root] += m.den;
+  }
+  void end_round(std::uint32_t) const {}
+  [[nodiscard]] sim::Counters counters(std::uint64_t msgs, std::uint64_t delivered,
+                                       std::uint64_t acks) const {
+    return {.sent = msgs + acks, .delivered = delivered + acks, .bits = msgs * pair_bits + acks};
   }
 };
 
@@ -282,120 +316,27 @@ PushSumResult run_push_sum_impl(const Forest& forest, std::span<const double> nu
   return result;
 }
 
-/// Flat fault-free executor (production mode: forwarding on, no potential
-/// tracking).  The same protocol unrolled onto two pooled plain-array
-/// queues: forwards queued during round r's delivery are carried over and
-/// delivered at the *front* of round r+1's batch, ahead of that round's
-/// fresh root pushes (the engine's leftover-outbox order), and (num, den)
-/// absorption happens in exact delivery order -- so every counter and
-/// every IEEE-754 accumulation is bit-identical to the Network path (the
-/// golden determinism tests pin this).  With no faults possible, every
-/// first hop is acknowledged: the ack is pure message accounting and the
-/// lost-mass bookkeeping never fires.  NOTE: the lazy rng_at slots, the
-/// relay-carrier pick and the cur/nxt queue discipline mirror
-/// run_gossip_max_flat (gossip_max.cpp); keep the two in lockstep or the
-/// checksums will tell you.
+/// Production mode (forwarding on, no potential tracking) on a fault-free
+/// schedule.  A function of its own: inlined into run_push_sum_impl, the
+/// executor's loops measured ~5% slower on dense-ave-clean.
 PushSumResult run_push_sum_flat(const Forest& forest, std::span<const double> num0,
                                 std::span<const double> den0, const RngFactory& rngs,
                                 const sim::Scenario& scenario,
                                 const PushSumConfig& config) {
   const std::uint32_t n = forest.size();
   const bool relay = config.member_relay && !scenario.topology.is_complete();
-  PushSumProtocol<false> proto{forest, num0, den0, config, n, relay,
-                               /*latency_bound=*/0};  // flat = fault-free
-  const std::uint64_t purpose = derive_seed(0xa4e, config.stream_tag);
-  const sim::Topology& topology = scenario.topology;
-  const std::vector<NodeId>& roots = forest.roots();
-
-  // Per-node sampling streams, identical to Network::node_rng(v): lazily
-  // constructed (relay touches arbitrary members, roots always draw).
-  std::vector<Rng> rng_slot(relay ? n : roots.size(), Rng{});
-  std::vector<std::uint8_t> rng_init(relay ? n : roots.size(), 0);
-  auto rng_at = [&](NodeId v, std::size_t slot) -> Rng& {
-    if (!rng_init[slot]) {
-      rng_slot[slot] = rngs.node_stream(v, purpose);
-      rng_init[slot] = 1;
-    }
-    return rng_slot[slot];
-  };
-
-  enum class Hop : std::uint8_t { kFirst, kRelayFirst, kForward };
-  struct Pending {
-    NodeId dst;
-    Hop hop;
-    double num;
-    double den;
-  };
-  std::vector<Pending> cur, nxt;
-  cur.reserve(roots.size() * 2);
-  nxt.reserve(roots.size() * 2);
-
-  // Locals keep the tallies in registers; (num, den) pairs all carry
-  // pair_bits and acks carry 1 bit, so the bit total factors out.
-  std::uint64_t pair_msgs = 0;
-  std::uint64_t pairs_delivered = 0;
-  std::uint64_t acks = 0;
-  const sim::Topology::PeerSampler sample = topology.sampler(n);
-  const NodeId* root_of = forest.root_of_table();
-  double* num = proto.num.data();
-  double* den = proto.den.data();
-  const bool recover = proto.recover;
-  const std::uint32_t drain = 3;  // forward_via_trees
-  for (std::uint32_t r = 0; r < proto.push_rounds + drain; ++r) {
-    if (r < proto.push_rounds) {
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        const NodeId v = roots[i];
-        num[v] *= 0.5;
-        den[v] *= 0.5;
-        Rng& vrng = rng_at(v, relay ? v : i);
-        ++pair_msgs;
-        if (relay) {
-          const auto members = forest.tree_members(v);
-          const auto carrier =
-              static_cast<NodeId>(members[vrng.next_below(members.size())]);
-          if (carrier != v) {
-            cur.push_back(Pending{carrier, Hop::kRelayFirst, num[v], den[v]});
-            continue;
-          }
-        }
-        const NodeId target = sample(v, vrng);
-        cur.push_back(Pending{target, Hop::kFirst, num[v], den[v]});
-      }
-    }
-    for (const Pending& e : cur) {
-      ++pairs_delivered;
-      if (recover && e.hop != Hop::kForward) ++acks;  // 1-bit ack, established call
-      if (e.hop == Hop::kRelayFirst) {
-        // Relay hop: this member samples *its* substrate neighbor.
-        const NodeId target = sample(e.dst, rng_at(e.dst, e.dst));
-        ++pair_msgs;
-        nxt.push_back(Pending{target, Hop::kForward, e.num, e.den});
-        continue;
-      }
-      const NodeId root = root_of[e.dst];
-      if (root != e.dst) {  // second hop of the G~ edge, next round
-        ++pair_msgs;
-        nxt.push_back(Pending{root, Hop::kForward, e.num, e.den});
-        continue;
-      }
-      num[e.dst] += e.num;
-      den[e.dst] += e.den;
-    }
-    cur.swap(nxt);
-    nxt.clear();
-  }
-
+  PushSumProtocol<false> proto{forest, num0, den0, config, n, relay, /*latency_bound=*/0};
+  const PushSumFlat flat{proto.push_rounds, /*drain=*/3, proto.pair_bits, proto.num.data(),
+                         proto.den.data()};
   PushSumResult result;
+  result.counters = rootgossip::run_flat_root_gossip(
+      flat, forest, rngs, derive_seed(0xa4e, config.stream_tag), scenario.topology, relay);
   result.num = std::move(proto.num);
   result.den = std::move(proto.den);
   result.estimate.assign(n, 0.0);
-  for (NodeId v : roots)
-    if (result.den[v] > 0.0) result.estimate[v] = result.num[v] / result.den[v];
-  result.counters.sent = pair_msgs + acks;
-  result.counters.delivered = pairs_delivered + acks;
-  result.counters.bits = pair_msgs * proto.pair_bits + acks;
-  result.counters.rounds = proto.push_rounds + drain;
-  result.rounds = proto.push_rounds + drain;
+  for (NodeId r : forest.roots())
+    if (result.den[r] > 0.0) result.estimate[r] = result.num[r] / result.den[r];
+  result.rounds = flat.total_rounds();
   return result;
 }
 

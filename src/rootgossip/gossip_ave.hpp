@@ -17,6 +17,11 @@
 // process Lemma 8 analyses, with selection probability proportional to
 // tree size -- and can track the contribution vectors y_{t,i} to report
 // the potential Phi_t = sum_{i,j} (y_{t,i,j} - w_{t,i}/m)^2 per round.
+//
+// Lost mass is re-absorbed: the first receiver of a pushed half acks it
+// with 1 bit, and a half whose ack never comes (crashed target, loss coin)
+// returns to its sender, so crashes cannot skew Ave/Sum/Count.  Forward-hop
+// losses stay unrecovered: the residual drift is O(loss_prob).
 
 #include <cstdint>
 #include <span>
@@ -42,23 +47,15 @@ struct PushSumConfig {
   /// Realistic mode: route via the selected node (2 hops per G~ edge).
   /// Analysis mode (false): deliver directly to the selected node's root.
   bool forward_via_trees = true;
-  /// Re-absorb a pushed half whose initiating call was lost (crashed
-  /// target or loss coin), detected via a 1-bit ack on the established
-  /// call.  Restores push-sum's conservation law -- without it, mass
-  /// leaking to crashed nodes skews Ave/Sum/Count badly under crashes
-  /// even at loss 0 (the historical Count drift).  Forward-hop losses
-  /// (probability loss_prob per hop) are still unrecovered: the residual
-  /// drift is O(loss_prob), zero at loss 0.
-  bool recover_lost_mass = true;
   /// Routed pipelines only (sparse/chord substrates): arm the hop-level
   /// carry-ack.  Every forwarded share hop becomes a custody transfer --
   /// the sender parks the mass until the next carrier acks on the
   /// established call, and re-homes it on a fresh route when the ack
   /// window lapses (lost hop, carrier crashed mid-flight, or a route
   /// stranded by dead lattice regions).  Closes the per-hop O(loss) mass
-  /// leak recover_lost_mass cannot see (that ack covers only the
-  /// initiating call).  Off by default: armed runs trade ~1 ack per hop
-  /// and a wider upcall scan for conservation under loss.
+  /// leak the initiating-call ack cannot see.  Off by default: armed runs
+  /// trade ~1 ack per hop and a wider upcall scan for conservation under
+  /// loss.
   bool hop_carry_ack = false;
   /// Track contribution vectors (O(m^2) memory; analysis mode only).
   bool track_potential = false;

@@ -3,6 +3,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "rootgossip/flat_executor.hpp"
 #include "rootgossip/ordered_key.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
@@ -138,129 +139,42 @@ struct GossipMaxProtocol {
   }
 };
 
-/// Flat fault-free executor: the same protocol unrolled onto two pooled
-/// plain-array queues, with no engine dispatch, no crash/loss checks and
-/// no reply machinery.  Every send, every delivery, every RNG draw and
-/// every key update happens in exactly the order the Network path produces
-/// (forwards queued during round r's delivery are carried over and
-/// delivered at the *front* of round r+1's batch, ahead of that round's
-/// fresh root sends -- the engine's leftover-outbox order), so counters
-/// and results are bit-identical -- the golden determinism tests pin
-/// this.  Roughly 2x the throughput of the generic path, which matters
-/// because Phase III dominates pipeline wall-clock.  NOTE: the lazy
-/// rng_at slots, the relay-carrier pick and the cur/nxt queue discipline
-/// are mirrored in run_push_sum_flat (gossip_ave.cpp); keep the two in
-/// lockstep or the checksums will tell you.
-GossipMaxResult run_gossip_max_flat(const Forest& forest,
-                                    std::span<const std::uint64_t> init_key,
-                                    const RngFactory& rngs, const sim::Scenario& scenario,
-                                    const GossipMaxConfig& config, std::uint32_t n) {
-  const bool relay = config.member_relay && !scenario.topology.is_complete();
-  GossipMaxProtocol proto{forest, init_key, config, n, relay};
-  const std::uint64_t purpose = derive_seed(0x3099, config.stream_tag);
-  const sim::Topology& topology = scenario.topology;
-  const std::vector<NodeId>& roots = forest.roots();
+/// Flat-executor policy (rootgossip/flat_executor.hpp): a root sends its
+/// key in the gossip procedure and an inquiry in the sampling procedure;
+/// at a root, keys and inquiry replies max-merge and an inquiry is
+/// answered straight to its origin.  Every message carries key_bits.
+struct GossipMaxFlat {
+  using Payload = GmMsg;
 
-  // Per-node sampling streams, identical to Network::node_rng(v): lazily
-  // constructed (relay touches arbitrary members, roots always draw).
-  std::vector<Rng> rng_slot(relay ? n : roots.size(), Rng{});
-  std::vector<std::uint8_t> rng_init(relay ? n : roots.size(), 0);
-  auto rng_at = [&](NodeId v, std::size_t slot) -> Rng& {
-    if (!rng_init[slot]) {
-      rng_slot[slot] = rngs.node_stream(v, purpose);
-      rng_init[slot] = 1;
-    }
-    return rng_slot[slot];
-  };
+  GossipMaxProtocol& proto;
+  std::uint64_t* key = proto.key.data();
+  std::uint32_t gossip_rounds = proto.gossip_rounds;
+  std::uint32_t sampling_begin = proto.gossip_rounds + proto.drain;
+  std::uint32_t sampling_end = sampling_begin + proto.sampling_rounds;
 
-  struct Pending {
-    NodeId dst;
-    std::uint64_t key;
-    NodeId origin;
-    GmMsg::Kind kind;
-  };
-  std::vector<Pending> cur, nxt;
-  cur.reserve(roots.size() * 2);
-  nxt.reserve(roots.size() * 2);
-
-  // Every message carries key_bits; locals keep the tallies in registers.
-  std::uint64_t msgs = 0;
-  std::uint64_t delivered = 0;
-  const sim::Topology::PeerSampler sample = topology.sampler(n);
-  const NodeId* root_of = forest.root_of_table();
-  auto key_of = proto.key.data();
-  for (std::uint32_t r = 0; r < proto.total_rounds(); ++r) {
-    const bool gossip = proto.in_gossip(r);
-    const bool sampling = proto.in_sampling(r);
-    if (gossip || sampling) {
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        const NodeId v = roots[i];
-        Rng& vrng = rng_at(v, relay ? v : i);
-        ++msgs;
-        if (relay) {
-          const auto members = forest.tree_members(v);
-          const auto m =
-              static_cast<NodeId>(members[vrng.next_below(members.size())]);
-          if (m != v) {
-            cur.push_back(gossip
-                              ? Pending{m, key_of[v], sim::kNoNode, GmMsg::Kind::kRelayGossip}
-                              : Pending{m, 0, v, GmMsg::Kind::kRelayInquiry});
-            continue;
-          }
-        }
-        const NodeId target = sample(v, vrng);
-        cur.push_back(gossip ? Pending{target, key_of[v], sim::kNoNode, GmMsg::Kind::kGossip}
-                             : Pending{target, 0, v, GmMsg::Kind::kInquiry});
-      }
-    }
-    for (const Pending& e : cur) {
-      ++delivered;
-      if (e.kind == GmMsg::Kind::kRelayGossip || e.kind == GmMsg::Kind::kRelayInquiry) {
-        // Relay hop: this member samples *its* substrate neighbor.
-        const NodeId target = sample(e.dst, rng_at(e.dst, e.dst));
-        ++msgs;
-        nxt.push_back(e.kind == GmMsg::Kind::kRelayGossip
-                          ? Pending{target, e.key, sim::kNoNode, GmMsg::Kind::kGossip}
-                          : Pending{target, 0, e.origin, GmMsg::Kind::kInquiry});
-        continue;
-      }
-      const NodeId root = root_of[e.dst];
-      if (root != e.dst) {  // second hop of the G~ edge, next round
-        ++msgs;
-        nxt.push_back(Pending{root, e.key, e.origin, e.kind});
-        continue;
-      }
-      switch (e.kind) {
-        case GmMsg::Kind::kGossip:
-          key_of[e.dst] = std::max(key_of[e.dst], e.key);
-          break;
-        case GmMsg::Kind::kInquiry:
-          ++msgs;
-          nxt.push_back(Pending{e.origin, key_of[e.dst], sim::kNoNode,
-                                GmMsg::Kind::kInquiryReply});
-          break;
-        case GmMsg::Kind::kInquiryReply:
-          key_of[e.dst] = std::max(key_of[e.dst], e.key);
-          break;
-        default:
-          break;  // relay kinds handled above
-      }
-    }
-    cur.swap(nxt);
-    nxt.clear();
-    if (r + 1 == proto.gossip_rounds + proto.drain) proto.key_after_gossip = proto.key;
+  [[nodiscard]] std::uint32_t total_rounds() const { return proto.total_rounds(); }
+  [[nodiscard]] bool calls_in(std::uint32_t r) const {
+    return r < gossip_rounds || (r >= sampling_begin && r < sampling_end);
   }
-
-  GossipMaxResult result;
-  result.key = std::move(proto.key);
-  result.key_after_gossip = std::move(proto.key_after_gossip);
-  result.counters.sent = msgs;
-  result.counters.delivered = delivered;
-  result.counters.bits = msgs * proto.key_bits;
-  result.counters.rounds = proto.total_rounds();
-  result.rounds = proto.total_rounds();
-  return result;
-}
+  [[nodiscard]] GmMsg call(NodeId v, std::uint32_t r) const {
+    return r < gossip_rounds ? GmMsg{key[v], sim::kNoNode, GmMsg::Kind::kGossip}
+                             : GmMsg{0, v, GmMsg::Kind::kInquiry};
+  }
+  template <class Send>
+  void arrive(NodeId root, const GmMsg& m, Send&& send) const {
+    if (m.kind == GmMsg::Kind::kInquiry)
+      send(m.origin, GmMsg{key[root], sim::kNoNode, GmMsg::Kind::kInquiryReply});
+    else
+      key[root] = std::max(key[root], m.key);
+  }
+  void end_round(std::uint32_t r) const {
+    if (r + 1 == sampling_begin) proto.key_after_gossip = proto.key;
+  }
+  [[nodiscard]] sim::Counters counters(std::uint64_t msgs, std::uint64_t delivered,
+                                       std::uint64_t /*calls*/) const {
+    return {.sent = msgs, .delivered = delivered, .bits = msgs * proto.key_bits};
+  }
+};
 
 }  // namespace
 
@@ -271,23 +185,24 @@ GossipMaxResult run_gossip_max(const Forest& forest,
   const std::uint32_t n = forest.size();
   if (init_key.size() < n) throw std::invalid_argument("run_gossip_max: keys too short");
 
-  if (scenario.faults.fault_free())
-    return run_gossip_max_flat(forest, init_key, rngs, scenario, config, n);
-
-  sim::Network<GmMsg> net{n, rngs, scenario, derive_seed(0x3099, config.stream_tag)};
-  GossipMaxProtocol proto{forest, init_key, config, n,
-                          config.member_relay && !scenario.topology.is_complete()};
-
-  // Run the gossip procedure (plus drain), snapshot for Theorem 5, then
-  // the sampling procedure (plus drain).
-  for (std::uint32_t r = 0; r < proto.gossip_rounds + proto.drain; ++r) net.step(proto);
-  proto.key_after_gossip = proto.key;
-  for (std::uint32_t r = 0; r < proto.sampling_rounds + proto.drain; ++r) net.step(proto);
-
+  const std::uint64_t purpose = derive_seed(0x3099, config.stream_tag);
+  const bool relay = config.member_relay && !scenario.topology.is_complete();
+  GossipMaxProtocol proto{forest, init_key, config, n, relay};
   GossipMaxResult result;
+  if (scenario.faults.fault_free()) {
+    result.counters = rootgossip::run_flat_root_gossip(GossipMaxFlat{proto}, forest, rngs,
+                                                       purpose, scenario.topology, relay);
+  } else {
+    sim::Network<GmMsg> net{n, rngs, scenario, purpose};
+    // Run the gossip procedure (plus drain), snapshot for Theorem 5, then
+    // the sampling procedure (plus drain).
+    for (std::uint32_t r = 0; r < proto.gossip_rounds + proto.drain; ++r) net.step(proto);
+    proto.key_after_gossip = proto.key;
+    for (std::uint32_t r = 0; r < proto.sampling_rounds + proto.drain; ++r) net.step(proto);
+    result.counters = net.counters();
+  }
   result.key = std::move(proto.key);
   result.key_after_gossip = std::move(proto.key_after_gossip);
-  result.counters = net.counters();
   result.rounds = proto.total_rounds();
   return result;
 }

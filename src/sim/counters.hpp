@@ -181,7 +181,7 @@ struct FaultSchedule {
   LatencyModel latency{};
 
   FaultSchedule() = default;
-  /// The historical two-field shape `FaultModel{loss, crash}`.
+  /// Link loss plus static start-time crashes, optionally with churn.
   FaultSchedule(double loss, double crash, std::vector<CrashEvent> events = {})
       : loss_prob(loss), crash_fraction(crash), churn(std::move(events)) {}
 
@@ -191,10 +191,12 @@ struct FaultSchedule {
   [[nodiscard]] bool has_joins() const noexcept { return !joins.empty(); }
 
   /// True when the schedule can neither lose, delay, disconnect nor crash
-  /// anything.  This is the dispatch predicate for the protocols' flat
-  /// fault-free executors: under it, the generic engine path and the flat
-  /// path are step-for-step equivalent, so keep it the single source of
-  /// truth when extending the fault model.
+  /// anything.  This is the dispatch predicate for the flat fault-free
+  /// executors -- run_drr_flat, run_convergecast_flat, run_broadcast_flat
+  /// and Phase III's run_flat_root_gossip (gossip-max, data-spread and
+  /// push-sum): under it, the generic engine path and the flat path are
+  /// step-for-step equivalent, so keep it the single source of truth when
+  /// extending the fault model.
   [[nodiscard]] bool fault_free() const noexcept {
     return loss_prob <= 0.0 && crash_fraction <= 0.0 && !has_churn() &&
            !has_blocks() && !has_partitions() && !has_joins() && latency.zero();
@@ -211,9 +213,5 @@ struct FaultSchedule {
     return crash_fraction <= 0.0 && !has_churn() && !has_blocks() && !has_joins();
   }
 };
-
-/// Historical name (static start-time crashes + link loss); every
-/// FaultModel is the degenerate schedule with no churn events.
-using FaultModel = FaultSchedule;
 
 }  // namespace drrg::sim

@@ -213,11 +213,6 @@ class Network {
     return peer;
   }
 
-  /// Historical name for sample_peer.
-  [[nodiscard]] NodeId sample_uniform(NodeId caller) noexcept {
-    return sample_peer(caller);
-  }
-
   /// Initiates a call: delivered at the delivery step it is scheduled for
   /// (this round from on_round, next round when forwarding), plus a
   /// per-message delay drawn from the latency model when one is active;

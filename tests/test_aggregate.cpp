@@ -122,7 +122,7 @@ TEST_P(FaultyPipelines, MaxExactUnderModelLoss) {
   const std::uint64_t seed = GetParam();
   const std::uint32_t n = 1024;
   const auto values = make_values(n, seed);
-  const auto r = drr_gossip_max(n, values, seed, sim::FaultModel{0.125, 0.0});
+  const auto r = drr_gossip_max(n, values, seed, sim::FaultSchedule{0.125, 0.0});
   const auto t = over_participants(values, r.participating);
   EXPECT_DOUBLE_EQ(r.value, t.max);
   EXPECT_TRUE(r.consensus);
@@ -134,7 +134,7 @@ TEST_P(FaultyPipelines, AveAccurateUnderModelLoss) {
   const auto values = make_values(n, seed + 9);
   DrrGossipConfig cfg;
   cfg.push_sum.rounds_multiplier = 8.0;  // loss slows convergence
-  const auto r = drr_gossip_ave(n, values, seed, sim::FaultModel{0.125, 0.0}, cfg);
+  const auto r = drr_gossip_ave(n, values, seed, sim::FaultSchedule{0.125, 0.0}, cfg);
   const auto t = over_participants(values, r.participating);
   EXPECT_NEAR(r.value, t.ave, 0.15 * std::max(1.0, std::fabs(t.ave)));  // lossy push-sum drift
 }
@@ -143,7 +143,7 @@ TEST_P(FaultyPipelines, MaxWithInitialCrashes) {
   const std::uint64_t seed = GetParam();
   const std::uint32_t n = 1024;
   const auto values = make_values(n, seed + 5);
-  const auto r = drr_gossip_max(n, values, seed, sim::FaultModel{0.0, 0.2});
+  const auto r = drr_gossip_max(n, values, seed, sim::FaultSchedule{0.0, 0.2});
   const auto t = over_participants(values, r.participating);
   EXPECT_EQ(t.count, 820u);  // 1024 - floor(0.2 * 1024)
   EXPECT_DOUBLE_EQ(r.value, t.max);
@@ -156,7 +156,7 @@ TEST_P(FaultyPipelines, AveWithCrashesAndLoss) {
   const auto values = make_values(n, seed + 6);
   DrrGossipConfig cfg;
   cfg.push_sum.rounds_multiplier = 8.0;
-  const auto r = drr_gossip_ave(n, values, seed, sim::FaultModel{0.1, 0.1}, cfg);
+  const auto r = drr_gossip_ave(n, values, seed, sim::FaultSchedule{0.1, 0.1}, cfg);
   const auto t = over_participants(values, r.participating);
   EXPECT_NEAR(r.value, t.ave, 0.15 * std::max(1.0, std::fabs(t.ave)));  // lossy push-sum drift
 }

@@ -56,7 +56,7 @@ TEST(UniformPushMax, MessagesScaleAsNLogN) {
 TEST(UniformPushMax, ConsensusUnderLoss) {
   const std::uint32_t n = 1024;
   const auto values = make_values(n, 5);
-  const auto r = uniform_push_max(n, values, 5, sim::FaultModel{0.125, 0.0});
+  const auto r = uniform_push_max(n, values, 5, sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(r.consensus);
 }
 
@@ -135,7 +135,7 @@ TEST(KarpPushPull, TransmissionsPerNodeIsLogLog) {
 }
 
 TEST(KarpPushPull, RobustToLoss) {
-  const auto r = karp_push_pull(2048, 15, sim::FaultModel{0.125, 0.0});
+  const auto r = karp_push_pull(2048, 15, sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(r.all_informed);
 }
 
@@ -196,7 +196,7 @@ TEST(EfficientGossip, SlowerThanLogButMessageLean) {
 TEST(EfficientGossip, SurvivesModelLoss) {
   const std::uint32_t n = 1024;
   const auto values = make_values(n, 27);
-  const auto r = efficient_gossip_max(n, values, 27, sim::FaultModel{0.125, 0.0});
+  const auto r = efficient_gossip_max(n, values, 27, sim::FaultSchedule{0.125, 0.0});
   EXPECT_DOUBLE_EQ(r.value, *std::max_element(values.begin(), values.end()));
 }
 

@@ -50,7 +50,7 @@ TEST(AnyAll, AllFalse) {
 TEST(AnyAll, RobustToModelLoss) {
   std::vector<bool> flags(1024, false);
   flags[7] = true;
-  const auto any = drr_gossip_any(1024, flags, 10, sim::FaultModel{0.125, 0.0});
+  const auto any = drr_gossip_any(1024, flags, 10, sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(any.value);
   EXPECT_TRUE(any.detail.consensus);
 }
@@ -65,7 +65,7 @@ TEST(LeaderElection, ElectsHighestAliveId) {
 }
 
 TEST(LeaderElection, SkipsCrashedNodes) {
-  const auto r = drr_gossip_elect_leader(512, 12, sim::FaultModel{0.0, 0.3});
+  const auto r = drr_gossip_elect_leader(512, 12, sim::FaultSchedule{0.0, 0.3});
   ASSERT_LT(r.leader, 512u);
   EXPECT_TRUE(r.detail.participating[r.leader]);
   // No participating node has a higher id.
@@ -177,7 +177,7 @@ TEST(PairwiseAveraging, SumInvariantSurvivesLoss) {
   values[0] = 512.0;  // all mass at one node
   PairwiseConfig cfg;
   cfg.round_multiplier = 4.0;
-  const auto r = pairwise_average(n, values, 27, sim::FaultModel{0.25, 0.0}, cfg);
+  const auto r = pairwise_average(n, values, 27, sim::FaultSchedule{0.25, 0.0}, cfg);
   EXPECT_NEAR(std::accumulate(r.value.begin(), r.value.end(), 0.0), 512.0, 1e-6);
 }
 

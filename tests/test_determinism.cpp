@@ -25,11 +25,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/report_hash.hpp"
+#include "drr/drr.hpp"
+#include "rootgossip/gossip_ave.hpp"
+#include "rootgossip/gossip_max.hpp"
+#include "rootgossip/ordered_key.hpp"
 #include "support/parallel.hpp"
 
 namespace drrg {
@@ -231,11 +237,12 @@ TEST(GoldenDeterminism, ShardedEngineIsIntraThreadInvariant) {
   }
 }
 
-// The flat fault-free executors must agree with the generic engine path
-// byte for byte.  A vanishing loss probability forces the engine path
-// (fault_free() is false) while leaving every delivery intact -- the loss
-// stream feeds nothing else -- so the pair must hash equal on every
-// substrate.
+// The flat fault-free executors (run_drr_flat, run_convergecast_flat,
+// run_broadcast_flat and Phase III's run_flat_root_gossip) must agree
+// with the generic engine path byte for byte.  A vanishing loss
+// probability forces the engine path (fault_free() is false) while
+// leaving every delivery intact -- the loss stream feeds nothing else --
+// so the pair must hash equal on every substrate.
 TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
   for (const sim::TopologyKind kind :
        {sim::TopologyKind::kComplete, sim::TopologyKind::kChordRing,
@@ -254,6 +261,91 @@ TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
       EXPECT_EQ(a.cost.delivered, b.cost.delivered) << sim::to_string(kind);
       EXPECT_EQ(a.cost.bits, b.cost.bits) << sim::to_string(kind);
       EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << sim::to_string(kind);
+    }
+  }
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  out.reserve(xs.size());
+  for (const double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+void expect_same_counters(const sim::Counters& a, const sim::Counters& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.sent, b.sent) << what;
+  EXPECT_EQ(a.delivered, b.delivered) << what;
+  EXPECT_EQ(a.lost, b.lost) << what;
+  EXPECT_EQ(a.bits, b.bits) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+}
+
+// Phase III's flat executor, called directly: gossip-max, data-spread
+// and push-sum (Ave and the one-hot Sum/Count denominator) on the flat
+// path and on the engine path forced by 1e-300 loss must agree bit for
+// bit -- keys, the post-gossip snapshot, (num, den) and every counter --
+// with and without the member relay, at two round budgets and two
+// stream tags.
+TEST(GoldenDeterminism, FlatRootGossipMatchesEnginePath) {
+  const std::uint32_t n = 256;
+  for (const sim::TopologyKind kind : {sim::TopologyKind::kComplete, sim::TopologyKind::kGrid2d}) {
+    const sim::Topology topology = sim::make_topology({kind}, n, 5);
+    const sim::Scenario flat{topology, {}};
+    const sim::Scenario engine{topology, sim::FaultSchedule{1e-300, 0.0}};
+    const RngFactory rngs{31};
+    const DrrResult drr = run_drr(n, rngs, flat);
+    const Forest& forest = drr.forest;
+
+    Rng vr{17};
+    std::vector<std::uint64_t> keys(n, kKeyBottom);
+    std::vector<double> num0(n, 0.0), den_ave(n, 0.0), den_one_hot(n, 0.0);
+    for (const NodeId r : forest.roots()) {
+      keys[r] = encode_ordered(vr.next_uniform(-50, 50));
+      num0[r] = vr.next_uniform(-50, 50);
+      den_ave[r] = static_cast<double>(forest.tree_size(r));
+    }
+    den_one_hot[forest.largest_tree_root()] = 1.0;
+
+    for (const bool relay : {true, false}) {
+      for (const double scale : {1.0, 2.5}) {
+        for (const std::uint64_t tag : {0ULL, 9ULL}) {
+          const std::string what = std::string{sim::to_string(kind)} + " relay " +
+                                   std::to_string(relay) + " scale " +
+                                   std::to_string(scale) + " tag " + std::to_string(tag);
+          GossipMaxConfig gm;
+          gm.member_relay = relay;
+          gm.round_budget_scale = scale;
+          gm.stream_tag = tag;
+          const GossipMaxResult ga = run_gossip_max(forest, keys, rngs, flat, gm);
+          const GossipMaxResult gb = run_gossip_max(forest, keys, rngs, engine, gm);
+          EXPECT_EQ(ga.key, gb.key) << what;
+          EXPECT_EQ(ga.key_after_gossip, gb.key_after_gossip) << what;
+          EXPECT_EQ(ga.rounds, gb.rounds) << what;
+          expect_same_counters(ga.counters, gb.counters, "gossip-max " + what);
+
+          const NodeId source = forest.largest_tree_root();
+          const GossipMaxResult sa = run_data_spread(forest, source, 42, rngs, flat, gm);
+          const GossipMaxResult sb = run_data_spread(forest, source, 42, rngs, engine, gm);
+          EXPECT_EQ(sa.key, sb.key) << what;
+          EXPECT_EQ(sa.key_after_gossip, sb.key_after_gossip) << what;
+          expect_same_counters(sa.counters, sb.counters, "data-spread " + what);
+
+          PushSumConfig ps;
+          ps.member_relay = relay;
+          ps.round_budget_scale = scale;
+          ps.stream_tag = tag;
+          for (const std::vector<double>* den0 : {&den_ave, &den_one_hot}) {
+            const PushSumResult pa = run_root_push_sum(forest, num0, *den0, rngs, flat, ps);
+            const PushSumResult pb = run_root_push_sum(forest, num0, *den0, rngs, engine, ps);
+            EXPECT_EQ(bit_patterns(pa.num), bit_patterns(pb.num)) << what;
+            EXPECT_EQ(bit_patterns(pa.den), bit_patterns(pb.den)) << what;
+            EXPECT_EQ(bit_patterns(pa.estimate), bit_patterns(pb.estimate)) << what;
+            EXPECT_EQ(pa.rounds, pb.rounds) << what;
+            expect_same_counters(pa.counters, pb.counters, "push-sum " + what);
+          }
+        }
+      }
     }
   }
 }

@@ -13,7 +13,7 @@
 namespace drrg {
 namespace {
 
-DrrResult run(std::uint32_t n, std::uint64_t seed, sim::FaultModel fm = {},
+DrrResult run(std::uint32_t n, std::uint64_t seed, sim::FaultSchedule fm = {},
               DrrConfig cfg = {}) {
   RngFactory rngs{seed};
   return run_drr(n, rngs, fm, cfg);
@@ -27,7 +27,7 @@ class DrrInvariants
 
 TEST_P(DrrInvariants, ForestIsValidAndRankRespecting) {
   const auto [n, seed, delta] = GetParam();
-  const DrrResult r = run(n, seed, sim::FaultModel{delta, 0.0});
+  const DrrResult r = run(n, seed, sim::FaultSchedule{delta, 0.0});
   // Forest::from_parents would have thrown on a cycle; check ranks.
   EXPECT_TRUE(r.forest.respects_ranks(r.ranks));
   // Every node is a member and in exactly one tree.
@@ -38,14 +38,14 @@ TEST_P(DrrInvariants, ForestIsValidAndRankRespecting) {
 
 TEST_P(DrrInvariants, TimeWithinBudget) {
   const auto [n, seed, delta] = GetParam();
-  const DrrResult r = run(n, seed, sim::FaultModel{delta, 0.0});
+  const DrrResult r = run(n, seed, sim::FaultSchedule{delta, 0.0});
   // Probe budget + connect retries + slack (the run_drr hard cap).
   EXPECT_LE(r.rounds, drr_probe_budget(n) + 8 + 2);
 }
 
 TEST_P(DrrInvariants, ProbeCountWithinPerNodeBudget) {
   const auto [n, seed, delta] = GetParam();
-  const DrrResult r = run(n, seed, sim::FaultModel{delta, 0.0});
+  const DrrResult r = run(n, seed, sim::FaultSchedule{delta, 0.0});
   EXPECT_LE(r.total_probes, static_cast<std::uint64_t>(n) * drr_probe_budget(n));
   EXPECT_GE(r.total_probes, static_cast<std::uint64_t>(n));  // everyone probes once
 }
@@ -164,7 +164,7 @@ TEST(Drr, ProbeBudgetAblation) {
 }
 
 TEST(Drr, CrashedNodesExcluded) {
-  const DrrResult r = run(1024, 77, sim::FaultModel{0.0, 0.25});
+  const DrrResult r = run(1024, 77, sim::FaultSchedule{0.0, 0.25});
   std::uint32_t members = 0;
   for (NodeId v = 0; v < 1024; ++v) members += r.forest.is_member(v);
   EXPECT_EQ(members, 768u);
@@ -175,7 +175,7 @@ TEST(Drr, CrashedNodesExcluded) {
 }
 
 TEST(Drr, HeavyLossStillYieldsValidForest) {
-  const DrrResult r = run(512, 5, sim::FaultModel{0.4, 0.0});  // far above delta<1/8
+  const DrrResult r = run(512, 5, sim::FaultSchedule{0.4, 0.0});  // far above delta<1/8
   EXPECT_TRUE(r.forest.respects_ranks(r.ranks));
   EXPECT_GE(r.forest.num_trees(), 1u);
 }
@@ -185,7 +185,7 @@ TEST(Drr, LossIncreasesTreeCount) {
   double clean = 0, lossy = 0;
   for (int s = 0; s < 6; ++s) {
     clean += run(2048, 200 + s).forest.num_trees();
-    lossy += run(2048, 200 + s, sim::FaultModel{0.3, 0.0}).forest.num_trees();
+    lossy += run(2048, 200 + s, sim::FaultSchedule{0.3, 0.0}).forest.num_trees();
   }
   EXPECT_GT(lossy, clean);
 }

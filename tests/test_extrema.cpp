@@ -33,7 +33,7 @@ TEST(ExtremaCount, LossInvariant) {
   // Min-diffusion is idempotent: once consensus is reached the estimate
   // cannot depend on delta (same seed => same draws => same minima).
   const auto clean = drr_gossip_count_extrema(1024, 7);
-  const auto lossy = drr_gossip_count_extrema(1024, 7, sim::FaultModel{0.25, 0.0});
+  const auto lossy = drr_gossip_count_extrema(1024, 7, sim::FaultSchedule{0.25, 0.0});
   ASSERT_TRUE(clean.consensus);
   ASSERT_TRUE(lossy.consensus);
   EXPECT_DOUBLE_EQ(clean.estimate, lossy.estimate);
@@ -42,7 +42,7 @@ TEST(ExtremaCount, LossInvariant) {
 TEST(ExtremaCount, CountsAliveNodesOnly) {
   ExtremaConfig cfg;
   cfg.k = 256;
-  const auto r = drr_gossip_count_extrema(2048, 9, sim::FaultModel{0.0, 0.25}, cfg);
+  const auto r = drr_gossip_count_extrema(2048, 9, sim::FaultSchedule{0.0, 0.25}, cfg);
   EXPECT_NEAR(r.estimate, 1536.0, 4.0 * r.predicted_rse * 1536.0);
 }
 
@@ -67,7 +67,7 @@ TEST(ExtremaSum, RobustAtModelLossCeiling) {
   std::vector<double> values(n, 2.5);  // truth = 2560
   ExtremaConfig cfg;
   cfg.k = 200;
-  const auto r = drr_gossip_sum_extrema(n, values, 13, sim::FaultModel{0.125, 0.0}, cfg);
+  const auto r = drr_gossip_sum_extrema(n, values, 13, sim::FaultSchedule{0.125, 0.0}, cfg);
   EXPECT_TRUE(r.consensus);
   EXPECT_NEAR(r.estimate, 2560.0, 4.0 * r.predicted_rse * 2560.0);
 }

@@ -15,7 +15,7 @@
 namespace drrg {
 namespace {
 
-LocalDrrResult run(const Graph& g, std::uint64_t seed, sim::FaultModel fm = {},
+LocalDrrResult run(const Graph& g, std::uint64_t seed, sim::FaultSchedule fm = {},
                    LocalDrrConfig cfg = {}) {
   RngFactory rngs{seed};
   return run_local_drr(g, rngs, fm, cfg);
@@ -144,7 +144,7 @@ TEST(LocalDrr, DeterministicFromSeed) {
 
 TEST(LocalDrr, LossKeepsForestValid) {
   const Graph g = make_random_regular(1024, 8, 9);
-  const LocalDrrResult r = run(g, 10, sim::FaultModel{0.125, 0.0});
+  const LocalDrrResult r = run(g, 10, sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(r.forest.respects_ranks(r.ranks));
   for (NodeId v = 0; v < g.size(); ++v) {
     const NodeId p = r.forest.parent(v);
@@ -156,7 +156,7 @@ TEST(LocalDrr, LossKeepsForestValid) {
 
 TEST(LocalDrr, CrashesExcludeNodes) {
   const Graph g = make_grid(32, 32, true);
-  const LocalDrrResult r = run(g, 11, sim::FaultModel{0.0, 0.2});
+  const LocalDrrResult r = run(g, 11, sim::FaultSchedule{0.0, 0.2});
   std::uint32_t members = 0;
   for (NodeId v = 0; v < g.size(); ++v) members += r.forest.is_member(v);
   EXPECT_LT(members, g.size());

@@ -35,8 +35,8 @@ class FaultMatrix : public ::testing::TestWithParam<Params> {
     return v;
   }
 
-  sim::FaultModel faults() const {
-    return sim::FaultModel{std::get<0>(GetParam()), std::get<1>(GetParam())};
+  sim::FaultSchedule faults() const {
+    return sim::FaultSchedule{std::get<0>(GetParam()), std::get<1>(GetParam())};
   }
 
   std::uint64_t seed() const { return std::get<2>(GetParam()); }

@@ -98,7 +98,7 @@ TEST(GossipMax, Theorem6ConsensusSurvivesModelLoss) {
   for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     MaxSetup s{1024, seed};
     const auto r =
-        run_gossip_max(s.drr.forest, s.keys, s.rngs, sim::FaultModel{0.125, 0.0});
+        run_gossip_max(s.drr.forest, s.keys, s.rngs, sim::FaultSchedule{0.125, 0.0});
     for (NodeId root : s.drr.forest.roots()) ASSERT_EQ(r.key[root], s.true_max_key);
   }
 }
@@ -207,7 +207,7 @@ TEST(PushSum, RatioConsistentUnderLoss) {
   PushSumConfig cfg;
   cfg.rounds_multiplier = 8.0;
   const auto r =
-      run_root_push_sum(s.drr.forest, s.num0, s.den0, s.rngs, sim::FaultModel{0.125, 0.0}, cfg);
+      run_root_push_sum(s.drr.forest, s.num0, s.den0, s.rngs, sim::FaultSchedule{0.125, 0.0}, cfg);
   const NodeId z = s.drr.forest.largest_tree_root();
   EXPECT_NEAR(r.estimate[z], s.true_ratio, 0.15 * std::max(1.0, std::fabs(s.true_ratio)));
   // Consistency: every root agrees with z (consensus on the drifted value).

@@ -97,7 +97,7 @@ TEST(Engine, RepliesAreReliableUnderLoss) {
   // loss_prob = 1 would drop every initiating call; replies never drop.
   // Use loss 0 for the initiating call by sending enough attempts.
   RngFactory rngs{4};
-  FaultModel fm{0.5, 0.0};
+  FaultSchedule fm{0.5, 0.0};
   Network<Ping> net{2, rngs, fm};
   struct P {
     int got_reply = 0;
@@ -129,7 +129,7 @@ struct Flood {
 
 TEST(Engine, LossRateMatchesModel) {
   RngFactory rngs{5};
-  FaultModel fm{0.125, 0.0};
+  FaultSchedule fm{0.125, 0.0};
   Network<Ping> net{64, rngs, fm};
   Flood proto;
   net.run(proto, 500);
@@ -142,7 +142,7 @@ TEST(Engine, LossRateMatchesModel) {
 
 TEST(Engine, CrashedNodesNeitherSendNorReceive) {
   RngFactory rngs{6};
-  FaultModel fm{0.0, 0.25};
+  FaultSchedule fm{0.0, 0.25};
   Network<Ping> net{100, rngs, fm};
   EXPECT_EQ(net.alive_nodes().size(), 75u);
   for (NodeId v : net.alive_nodes()) EXPECT_TRUE(net.alive(v));
@@ -165,7 +165,7 @@ TEST(Engine, CrashedNodesNeitherSendNorReceive) {
 
 TEST(Engine, CrashSetConsistentAcrossPurposes) {
   RngFactory rngs{7};
-  FaultModel fm{0.0, 0.3};
+  FaultSchedule fm{0.0, 0.3};
   Network<Ping> a{50, rngs, fm, /*purpose=*/1};
   Network<Ping> b{50, rngs, fm, /*purpose=*/2};
   ASSERT_EQ(a.alive_nodes().size(), b.alive_nodes().size());
@@ -175,7 +175,7 @@ TEST(Engine, CrashSetConsistentAcrossPurposes) {
 
 TEST(Engine, AtLeastOneNodeSurvives) {
   RngFactory rngs{8};
-  FaultModel fm{0.0, 0.999};
+  FaultSchedule fm{0.0, 0.999};
   Network<Ping> net{10, rngs, fm};
   EXPECT_GE(net.alive_nodes().size(), 1u);
 }
@@ -198,12 +198,12 @@ TEST(Engine, DoneStopsEarly) {
 TEST(Engine, DeterministicTranscript) {
   auto run_once = [] {
     RngFactory rngs{10};
-    FaultModel fm{0.1, 0.1};
+    FaultSchedule fm{0.1, 0.1};
     Network<Ping> net{32, rngs, fm};
     struct P {
       std::vector<std::uint32_t> log;
       void on_round(Network<Ping>& net_, NodeId v) {
-        net_.send(v, net_.sample_uniform(v), Ping{}, 4);
+        net_.send(v, net_.sample_peer(v), Ping{}, 4);
       }
       void on_message(Network<Ping>&, NodeId src, NodeId dst, const Ping&) {
         log.push_back(src * 1000 + dst);
@@ -219,7 +219,7 @@ TEST(Engine, SampleUniformCoversRange) {
   RngFactory rngs{11};
   Network<Ping> net{16, rngs};
   std::vector<bool> seen(16, false);
-  for (int i = 0; i < 2000; ++i) seen[net.sample_uniform(3)] = true;
+  for (int i = 0; i < 2000; ++i) seen[net.sample_peer(3)] = true;
   for (NodeId v = 0; v < 16; ++v) EXPECT_TRUE(seen[v]) << v;
 }
 

@@ -89,7 +89,7 @@ TEST(SparsePipeline, SurvivesModelLoss) {
   cfg.gossip_max.gossip_multiplier = 6.0;
   cfg.gossip_max.sampling_multiplier = 4.0;
   const auto r = sparse_drr_gossip_max(chord, links, values, 11,
-                                       sim::FaultModel{0.125, 0.0}, cfg);
+                                       sim::FaultSchedule{0.125, 0.0}, cfg);
   EXPECT_DOUBLE_EQ(r.value, *std::max_element(values.begin(), values.end()));
   EXPECT_TRUE(r.consensus);
 }

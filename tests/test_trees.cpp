@@ -101,7 +101,7 @@ TEST(Convergecast, CompletesUnderLoss) {
   const DrrResult drr = run_drr(512, rngs);
   std::vector<double> values(512, 1.0);
   const auto r = run_convergecast(drr.forest, values, ConvergecastOp::kSum, rngs,
-                                  sim::FaultModel{0.125, 0.0});
+                                  sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(r.complete);
   // Weights still exact: acked retries guarantee exactly-once absorption.
   double total = 0.0;
@@ -175,7 +175,7 @@ TEST(Broadcast, CompletesUnderLoss) {
   const DrrResult drr = run_drr(1024, rngs);
   std::vector<double> payload(1024, 0.0);
   for (NodeId root : drr.forest.roots()) payload[root] = static_cast<double>(root);
-  const auto r = run_broadcast(drr.forest, payload, rngs, sim::FaultModel{0.125, 0.0});
+  const auto r = run_broadcast(drr.forest, payload, rngs, sim::FaultSchedule{0.125, 0.0});
   EXPECT_TRUE(r.complete);
   for (NodeId v = 0; v < 1024; ++v)
     EXPECT_DOUBLE_EQ(r.received[v], static_cast<double>(drr.forest.root_of(v))) << v;
@@ -185,8 +185,8 @@ TEST(Broadcast, DeterministicFromSeed) {
   RngFactory rngs{35};
   const DrrResult drr = run_drr(256, rngs);
   std::vector<double> payload(256, 1.5);
-  const auto a = run_broadcast(drr.forest, payload, rngs, sim::FaultModel{0.1, 0.0});
-  const auto b = run_broadcast(drr.forest, payload, rngs, sim::FaultModel{0.1, 0.0});
+  const auto a = run_broadcast(drr.forest, payload, rngs, sim::FaultSchedule{0.1, 0.0});
+  const auto b = run_broadcast(drr.forest, payload, rngs, sim::FaultSchedule{0.1, 0.0});
   EXPECT_EQ(a.counters.sent, b.counters.sent);
   EXPECT_EQ(a.rounds, b.rounds);
 }
