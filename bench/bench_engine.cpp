@@ -4,7 +4,8 @@
 // these cases measure the *simulator itself*: wall-clock throughput of the
 // hot path in rounds/sec and messages/sec per topology, and heap
 // allocations per run (the pooled-queue engine should hold this constant
-// in rounds: steady-state rounds allocate nothing).
+// in rounds: steady-state rounds allocate nothing).  One more case times
+// the per-seed Chord substrate build the routed pipeline starts from.
 //
 // tools/bench_baseline.sh runs these alongside the pinned CLI sweep and
 // folds the counters into BENCH_engine.json, the machine-readable perf
@@ -16,8 +17,10 @@
 #include <limits>
 #include <string>
 
+#include "aggregate/sparse.hpp"
 #include "api/registry.hpp"
 #include "bench_common.hpp"
+#include "chord/chord.hpp"
 #include "support/alloc_counter.hpp"
 
 namespace drrg {
@@ -105,6 +108,30 @@ void BM_EngineDrrSparseGrid(benchmark::State& state) {
   engine_case(state, "drr", sim::TopologyKind::kGrid2d, api::Pipeline::kSparse);
 }
 BENCHMARK(BM_EngineDrrSparseGrid)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
+
+// The Chord substrate a sweep over seeds builds once per trial: the
+// overlay (ids, ring index, finger table) plus its link graph.  The
+// chord-drr cases above reuse one memoised overlay at a fixed seed, so
+// they never pay this; here every iteration builds for a fresh seed.  The
+// reported time is one build; allocs_per_run is one build's allocation
+// count, which must not grow with n.
+void BM_ChordSubstrateBuild(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  std::uint64_t seed = 1;
+  std::uint64_t allocs = std::numeric_limits<std::uint64_t>::max();
+  for (auto _ : state) {
+    const std::uint64_t a0 = support::alloc_count();
+    const ChordOverlay chord{n, seed++};
+    const Graph links = overlay_graph(chord);
+    allocs = std::min(allocs, support::alloc_count() - a0);
+    benchmark::DoNotOptimize(links.edge_count());
+  }
+  state.counters["allocs_per_run"] = static_cast<double>(allocs);
+}
+BENCHMARK(BM_ChordSubstrateBuild)
+    ->RangeMultiplier(4)
+    ->Range(1 << 10, 1 << 14)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace drrg

@@ -1,5 +1,6 @@
 #include "aggregate/routing.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -100,7 +101,7 @@ namespace {
 /// The alive node owning the route's key on the stabilized ring: the
 /// cached static owner, or its first alive successor when the owner
 /// crashed.  Starting from RouteState::owner instead of re-running
-/// owner_of_key keeps the per-hop path free of binary searches while
+/// owner_of_key keeps the per-hop path free of ring lookups while
 /// walking the exact successor chain the recomputation would.
 [[nodiscard]] NodeId owner_live(const ChordOverlay& chord, NodeId static_owner,
                                 const LivenessView& alive) {
@@ -128,26 +129,28 @@ namespace {
   return successor_live(chord, v, alive);
 }
 
-/// Crash-free greedy Chord step: binary search for the largest k with
-/// finger distance <= dv over the precomputed non-decreasing row.  For a
-/// finger c != v, ring_dist(id_c, key) < dv  <=>  ring_dist(id_v, id_c)
-/// <= dv (subtracting the finger offset modulo the ring), and self-fingers
-/// are stored as the full ring, so the search selects exactly the finger
-/// the longest-jump-first liveness scan would with everyone alive.
+/// Crash-free greedy Chord step: the farthest finger at clockwise distance
+/// <= dv.  For a finger c != v, ring_dist(id_c, key) < dv  <=>
+/// ring_dist(id_v, id_c) <= dv (subtracting the finger offset modulo the
+/// ring), so this selects exactly the finger the longest-jump-first
+/// liveness scan would with everyone alive.  Finger k is the first node at
+/// distance >= 2^k, so the fingers above K = floor(log2 dv) all lie past
+/// the key, and finger K is the only candidate at distance >= 2^K.  When
+/// it overshoots (or is v itself), every lower finger that differs from it
+/// sits below 2^K <= dv: the answer is the first such finger scanning
+/// down, else the successor (finger 0).
 [[nodiscard]] NodeId chord_next_hop_fast(const ChordOverlay& chord, NodeId v,
                                          std::uint64_t key) noexcept {
-  const std::uint64_t dv = ring_dist(chord.id_of(v), key, chord.ring_size());
-  const std::uint64_t* fd = chord.finger_dist_row(v);
-  std::uint32_t lo = 0, hi = chord.ring_bits();
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (fd[mid] <= dv) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo > 0 ? chord.finger_row(v)[lo - 1] : chord.successor(v);
+  const std::uint64_t ring = chord.ring_size();
+  const std::uint64_t dv = ring_dist(chord.id_of(v), key, ring);
+  if (dv == 0) return chord.successor(v);  // v owns the key; callers stop first
+  const NodeId* fingers = chord.finger_row(v);
+  auto k = static_cast<std::uint32_t>(std::bit_width(dv)) - 1;
+  const NodeId top = fingers[k];
+  if (top != v && ring_dist(chord.id_of(v), chord.id_of(top), ring) <= dv) return top;
+  if (top == fingers[0]) return top;  // the successor overshoots: last hop
+  while (fingers[k - 1] == top) --k;  // ends at finger 0 at the latest
+  return fingers[k - 1];
 }
 
 /// One coordinate-routing step toward node id `target` (row first, then

@@ -58,11 +58,12 @@ struct LivenessView {
 
 /// Per-message routing state (24 bytes, POD).  In the Chord modes `owner`
 /// caches the key's *static* owner, resolved once at begin_* time:
-/// owner_of_key is a pure function of the overlay, so hoisting its binary
-/// search off the per-hop path is observationally invisible (the
-/// stabilized liveness walk starts from the same static owner it always
-/// did).  In kGrid the same two spare fields drive the perimeter detour:
-/// `owner` holds the previous carrier (backtrack avoidance) and `steps` a
+/// owner_of_key is a pure function of the overlay, so hoisting its
+/// ring-index lookup off the per-hop path is observationally invisible
+/// (the stabilized liveness walk starts from the same static owner it
+/// always did), and each hop only compares its holder with it.  In kGrid
+/// the same two spare fields drive the perimeter detour: `owner` holds
+/// the previous carrier (backtrack avoidance) and `steps` a
 /// hop TTL -- both ignored by the crash-free fast hop, so setting them at
 /// begin_* time is equally invisible.  The engine charges message size
 /// through the explicit `bits` argument of send(), never sizeof, so the
@@ -115,10 +116,13 @@ class SparseRouter {
 
   /// Crash-free fast hop for the keyed modes (kChordRoute / kChordSmear /
   /// kGrid): no liveness oracle (the function-pointer detour logic is
-  /// compiled out, not just short-circuited), Chord finger selection by
-  /// binary search over the precomputed monotone finger-distance row, and
-  /// flat successor loads.  Step-for-step identical to next_hop under an
-  /// all-alive view -- the dispatch predicate is FaultSchedule::crash_free().
+  /// compiled out, not just short-circuited), flat successor loads, and
+  /// Chord finger selection that starts at finger floor(log2 d), d being
+  /// the key's clockwise distance from the holder (no higher finger can
+  /// precede the key), and scans down past the fingers equal to it --
+  /// one comparison on most hops.  Step-for-step identical to next_hop
+  /// under an all-alive view -- the dispatch predicate is
+  /// FaultSchedule::crash_free().
   /// Precondition: state.mode != kWalk (walks draw per-hop randomness and
   /// go through next_hop).
   [[nodiscard]] NodeId next_hop_fast(NodeId at, RouteState& state) const noexcept;

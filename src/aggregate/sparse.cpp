@@ -1,6 +1,7 @@
 #include "aggregate/sparse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -17,21 +18,57 @@
 namespace drrg {
 
 Graph overlay_graph(const ChordOverlay& chord) {
-  // Flat collect + sort + unique: the same sorted duplicate-free edge list
-  // a std::set yields in O(n log n) node allocations, in O(1) allocations.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(static_cast<std::size_t>(chord.size()) * (chord.ring_bits() + 1));
-  auto add = [&edges](NodeId a, NodeId b) {
-    if (a == b) return;
-    edges.emplace_back(std::min(a, b), std::max(a, b));
+  // Every overlay link is a finger: the successor is finger 0.  Finger k
+  // is the first node at clockwise distance >= 2^k, so a finger at
+  // distance d is finger k' for every k' <= floor(log2 d): the next
+  // distinct finger is k' = bit_width(d), and v holds w iff w is v's
+  // finger floor(log2 d(v, w)), one table load.  A link both ends hold is
+  // kept from its lower-labelled end only.
+  const std::uint32_t n = chord.size();
+  const std::uint32_t m = chord.ring_bits();
+  const std::uint64_t ring_mask = chord.ring_size() - 1;
+  auto dist = [&chord, ring_mask](NodeId v, NodeId w) {
+    return (chord.id_of(w) - chord.id_of(v)) & ring_mask;
   };
-  for (NodeId v = 0; v < chord.size(); ++v) {
-    add(v, chord.successor(v));
-    for (std::uint32_t k = 0; k < chord.ring_bits(); ++k) add(v, chord.finger(v, k));
+  auto holds = [&](NodeId v, NodeId w) {
+    return chord.finger(v, static_cast<std::uint32_t>(std::bit_width(dist(v, w))) - 1) == w;
+  };
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  edges.reserve(static_cast<std::size_t>(n) * m);
+  std::vector<std::size_t> hi_start(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::size_t> lo_next(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId* row = chord.finger_row(v);
+    std::uint32_t k = 0;
+    while (k < m && row[k] != v) {  // self-fingers end the row
+      const NodeId w = row[k];
+      k = static_cast<std::uint32_t>(std::bit_width(dist(v, w)));
+      if (w < v && holds(w, v)) continue;
+      const NodeId lo = std::min(v, w), hi = std::max(v, w);
+      edges.emplace_back(lo, hi);
+      ++hi_start[hi];
+      ++lo_next[lo];
+    }
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return Graph::from_edges(chord.size(), edges);
+  // Two stable counting passes, by the higher end into `lows` and back by
+  // the lower end, sort the links into (lower, higher) order.  That order
+  // hands Graph::from_edges every adjacency slice already sorted.
+  std::size_t hi_end = 0, lo_begin = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    hi_end += hi_start[v];
+    hi_start[v] = hi_end;  // the pass below counts it down to the start
+    const std::size_t lo_count = lo_next[v];
+    lo_next[v] = lo_begin;
+    lo_begin += lo_count;
+  }
+  hi_start[n] = hi_end;
+  std::vector<NodeId> lows(edges.size());
+  for (const auto& [lo, hi] : edges) lows[--hi_start[hi]] = lo;
+  for (NodeId hi = 0; hi < n; ++hi) {
+    for (std::size_t i = hi_start[hi]; i < hi_start[hi + 1]; ++i)
+      edges[lo_next[lows[i]]++] = {lows[i], hi};
+  }
+  return Graph::from_edges(n, edges);
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #include "chord/chord.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "support/mathutil.hpp"
@@ -43,46 +42,74 @@ ChordOverlay::ChordOverlay(std::uint32_t n, std::uint64_t seed, std::uint32_t ri
     if (insert_new(id)) ids_.push_back(id);
   }
 
+  // Ring index: 2^b buckets (the smallest power of two >= n, so about one
+  // id per bucket and at most 2n entries with the end sentinel), bucket j
+  // holding the keys [j << shift, (j + 1) << shift).  bucket_start_[j] is
+  // the ring position of the first id in bucket j.  The index doubles as
+  // the ring sort: a counting pass places each node in its bucket, then
+  // each bucket (expected O(1) ids) is sorted by id.  Ids are distinct, so
+  // the ring order is the same total order a full comparison sort gives.
+  const std::uint32_t bucket_bits = ceil_log2(n);
+  const std::uint32_t buckets = std::uint32_t{1} << bucket_bits;
+  bucket_shift_ = m_ - bucket_bits;
+  bucket_start_.assign(static_cast<std::size_t>(buckets) + 1, 0);
+  for (NodeId v = 0; v < n; ++v) ++bucket_start_[ids_[v] >> bucket_shift_];
+  for (std::uint32_t j = 1; j < buckets; ++j) bucket_start_[j] += bucket_start_[j - 1];
+  bucket_start_[buckets] = n;
   sorted_nodes_.resize(n);
-  for (NodeId v = 0; v < n; ++v) sorted_nodes_[v] = v;
-  std::sort(sorted_nodes_.begin(), sorted_nodes_.end(),
-            [this](NodeId a, NodeId b) { return ids_[a] < ids_[b]; });
-  sorted_ids_.resize(n);
+  // Filling each bucket from its end leaves bucket_start_[j] at its start.
+  for (NodeId v = n; v-- > 0;) sorted_nodes_[--bucket_start_[ids_[v] >> bucket_shift_]] = v;
+  const auto by_id = [this](NodeId a, NodeId b) { return ids_[a] < ids_[b]; };
+  for (std::uint32_t j = 0; j < buckets; ++j) {
+    std::sort(sorted_nodes_.begin() + bucket_start_[j],
+              sorted_nodes_.begin() + bucket_start_[j + 1], by_id);
+  }
+  sorted_ids_.resize(static_cast<std::size_t>(n) + 1);
   ring_pos_.resize(n);
   for (std::uint32_t p = 0; p < n; ++p) {
     sorted_ids_[p] = ids_[sorted_nodes_[p]];
     ring_pos_[sorted_nodes_[p]] = p;
   }
+  sorted_ids_[n] = ring;  // above every key: ends owner_pos's bucket scan
 
   succ_.resize(n);
   for (std::uint32_t p = 0; p < n; ++p)
     succ_[sorted_nodes_[p]] = sorted_nodes_[(p + 1) % n];
 
   fingers_.resize(static_cast<std::size_t>(n) * m_);
-  finger_dist_.resize(static_cast<std::size_t>(n) * m_);
   for (NodeId v = 0; v < n; ++v) {
+    // Finger k is the first node at clockwise distance >= 2^k, v itself
+    // (distance 0) when none is.  It starts as the successor (finger 0) and
+    // is looked up again only when it falls short of 2^k; otherwise it is
+    // also finger k.
+    std::uint32_t pos = ring_pos_[succ_[v]];
+    std::uint64_t dist = (sorted_ids_[pos] - ids_[v]) & (ring - 1);
+    NodeId* row = fingers_.data() + static_cast<std::size_t>(v) * m_;
     for (std::uint32_t k = 0; k < m_; ++k) {
-      const std::uint64_t target = (ids_[v] + (std::uint64_t{1} << k)) & (ring - 1);
-      const NodeId f = owner_of_key(target);
-      const std::size_t slot = static_cast<std::size_t>(v) * m_ + k;
-      fingers_[slot] = f;
-      // Clockwise distance to the finger; a self-finger (the 2^k arc wraps
-      // all the way back to v) is stored as the full ring so it never wins
-      // a closest-preceding comparison.  The row is non-decreasing in k:
-      // finger k sits at min{d >= 2^k} over node distances (v contributing
-      // d = ring), a non-decreasing function of the increasing 2^k.
-      finger_dist_[slot] = f == v ? ring : ((ids_[f] - ids_[v]) & (ring - 1));
-      assert(k == 0 || finger_dist_[slot - 1] <= finger_dist_[slot]);
+      if (dist < (std::uint64_t{1} << k)) {
+        pos = owner_pos((ids_[v] + (std::uint64_t{1} << k)) & (ring - 1));
+        dist = (sorted_ids_[pos] - ids_[v]) & (ring - 1);
+      }
+      row[k] = sorted_nodes_[pos];
     }
   }
 }
 
+std::uint32_t ChordOverlay::owner_pos(std::uint64_t key) const noexcept {
+  // Every id before the key's bucket is smaller than the key and every id
+  // after it larger, so the first id >= key lies in the bucket or is the
+  // first id after it.  The scan stops at the sentinel sorted_ids_[n] =
+  // ring_size() at the latest, and past the last id the ring wraps to
+  // position 0.  A bucket holds about one id, so the first step is taken
+  // without a branch; the loop runs only for a fuller bucket.
+  std::uint32_t pos = bucket_start_[key >> bucket_shift_];
+  pos += sorted_ids_[pos] < key ? 1 : 0;
+  while (sorted_ids_[pos] < key) ++pos;
+  return pos == n_ ? 0 : pos;
+}
+
 NodeId ChordOverlay::owner_of_key(std::uint64_t key) const noexcept {
-  // First node with id >= key, wrapping to the smallest id.
-  const auto it = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), key);
-  const std::size_t pos =
-      it == sorted_ids_.end() ? 0 : static_cast<std::size_t>(it - sorted_ids_.begin());
-  return sorted_nodes_[pos];
+  return sorted_nodes_[owner_pos(key & (ring_size() - 1))];
 }
 
 NodeId ChordOverlay::successor(NodeId v) const noexcept { return succ_[v]; }

@@ -38,11 +38,15 @@ class ChordOverlay {
   [[nodiscard]] std::uint32_t ring_bits() const noexcept { return m_; }
   [[nodiscard]] std::uint64_t ring_size() const noexcept { return std::uint64_t{1} << m_; }
 
-  /// Ring identifier of node v (node indices are 0..n-1 in id order? No:
-  /// node indices are arbitrary labels; id_of gives the ring position).
+  /// Ring identifier of node v.  Node indices are arbitrary labels, not
+  /// ring order: node v's id is the v-th distinct draw of the seeded
+  /// stream.
   [[nodiscard]] std::uint64_t id_of(NodeId v) const noexcept { return ids_[v]; }
 
   /// The node owning `key`: the first node clockwise at or after key.
+  /// A key >= ring_size() is first reduced modulo ring_size(), so every
+  /// 64-bit key names a ring point.  Expected O(1): the ring index holds
+  /// about one id per bucket, and only the key's bucket is scanned.
   [[nodiscard]] NodeId owner_of_key(std::uint64_t key) const noexcept;
 
   /// Immediate successor of node v on the ring (one flat-array load).
@@ -51,18 +55,12 @@ class ChordOverlay {
   /// Finger k of node v: owner of (id_of(v) + 2^k) mod 2^m.
   [[nodiscard]] NodeId finger(NodeId v, std::uint32_t k) const noexcept;
 
-  /// Flat row of v's finger *clockwise distances*: entry k is
-  /// ring_dist(id_of(v), id_of(finger(v, k))), with finger(v, k) == v
-  /// stored as ring_size() (a self-finger can never precede a key).  The
-  /// row is non-decreasing in k -- finger k is the first node at clockwise
-  /// distance >= 2^k, a non-decreasing function of a strictly increasing
-  /// target -- so greedy closest-preceding-finger selection is a binary
-  /// search over it (see SparseRouter::next_hop_fast).
-  [[nodiscard]] const std::uint64_t* finger_dist_row(NodeId v) const noexcept {
-    return finger_dist_.data() + static_cast<std::size_t>(v) * m_;
-  }
-
-  /// Flat row of v's finger table (m_ entries, index by k).
+  /// Flat row of v's finger table (m_ entries, index by k).  Finger k is
+  /// the first node at clockwise distance >= 2^k (v itself when none is),
+  /// so the row's distances are non-decreasing in k, and a finger at
+  /// distance d fills the row from its first index up to k = floor(log2 d).
+  /// Greedy closest-preceding-finger selection toward a key at distance d
+  /// therefore starts at k = floor(log2 d) (see SparseRouter::next_hop_fast).
   [[nodiscard]] const NodeId* finger_row(NodeId v) const noexcept {
     return fingers_.data() + static_cast<std::size_t>(v) * m_;
   }
@@ -94,15 +92,19 @@ class ChordOverlay {
   [[nodiscard]] bool in_open_interval(std::uint64_t x, std::uint64_t a,
                                       std::uint64_t b) const noexcept;
 
+  /// Ring position (index into sorted_ids_) of the owner of key < ring_size().
+  [[nodiscard]] std::uint32_t owner_pos(std::uint64_t key) const noexcept;
+
   std::uint32_t n_;
   std::uint32_t m_;
   std::vector<std::uint64_t> ids_;         // id of node v
-  std::vector<std::uint64_t> sorted_ids_;  // ids in ring order
+  std::vector<std::uint64_t> sorted_ids_;  // ids in ring order, + ring_size() sentinel
   std::vector<NodeId> sorted_nodes_;       // node labels in ring order
   std::vector<std::uint32_t> ring_pos_;    // position of node v in sorted order
+  std::uint32_t bucket_shift_ = 0;         // key >> bucket_shift_ = its bucket
+  std::vector<std::uint32_t> bucket_start_;  // first ring position per bucket, + n
   std::vector<NodeId> succ_;               // successor(v), flat
   std::vector<NodeId> fingers_;            // n_ * m_ finger table
-  std::vector<std::uint64_t> finger_dist_;  // n_ * m_ clockwise finger distances
 };
 
 }  // namespace drrg

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -60,6 +64,97 @@ TEST(Chord, FingerIsOwnerOfOffset) {
     }
   }
 }
+
+// Reference owners of `keys` (each < ring_size()): one linear scan of the
+// sorted ids, taking the keys in increasing order.  The owner is the first
+// id >= key, wrapping to the smallest id.  Shares no code with the ring
+// index behind owner_of_key and the finger build.
+std::vector<NodeId> scan_owners(const ChordOverlay& c, const std::vector<std::uint64_t>& keys) {
+  std::vector<std::pair<std::uint64_t, NodeId>> ring;
+  for (NodeId v = 0; v < c.size(); ++v) ring.emplace_back(c.id_of(v), v);
+  std::sort(ring.begin(), ring.end());
+  std::vector<std::size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&keys](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
+  std::vector<NodeId> owners(keys.size());
+  std::size_t p = 0;
+  for (const std::size_t i : order) {
+    while (p < ring.size() && ring[p].first < keys[i]) ++p;
+    owners[i] = p < ring.size() ? ring[p].second : ring.front().second;
+  }
+  return owners;
+}
+
+// Each ring size shapes the ring index differently: the default
+// 2^(ceil(log2 n) + 8) points (about one id per bucket), a ring exactly as
+// large as the bucket table (every point an id when n is a power of two),
+// and the largest, 2^62 points.
+class ChordRingIndex
+    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {};
+
+TEST_P(ChordRingIndex, OwnerOfKeyMatchesLinearScan) {
+  const auto [n, ring_bits] = GetParam();
+  const ChordOverlay c{n, 21 + n, ring_bits};
+  const std::uint64_t ring = c.ring_size();
+  std::vector<std::uint64_t> keys{0, ring - 1};
+  std::uint64_t largest = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t id = c.id_of(v);
+    largest = std::max(largest, id);
+    keys.push_back(id);
+    keys.push_back((id + 1) & (ring - 1));
+    keys.push_back((id - 1) & (ring - 1));
+  }
+  // Keys past the largest id wrap around to the smallest.
+  for (std::uint64_t gap = ring - 1 - largest, step = 1; gap > 0 && step <= gap; step *= 3)
+    keys.push_back(largest + step);
+  Rng rng{n * 7 + ring_bits};
+  for (int i = 0; i < 1000; ++i) keys.push_back(rng.next_below(ring));
+
+  const std::vector<NodeId> want = scan_owners(c, keys);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(c.owner_of_key(keys[i]), want[i]) << "key " << keys[i];
+    // Keys beyond the ring reduce modulo ring_size().
+    ASSERT_EQ(c.owner_of_key(keys[i] + ring), want[i]) << "key " << keys[i] << " + ring";
+    ASSERT_EQ(c.owner_of_key(keys[i] | ~(ring - 1)), want[i]) << "key " << keys[i] << " | high";
+  }
+  EXPECT_EQ(c.owner_of_key(~std::uint64_t{0}), c.owner_of_key(ring - 1));
+}
+
+TEST_P(ChordRingIndex, EveryFingerMatchesLinearScan) {
+  const auto [n, ring_bits] = GetParam();
+  const ChordOverlay c{n, 33 + n, ring_bits};
+  const std::uint32_t m = c.ring_bits();
+  const std::uint64_t ring = c.ring_size();
+  std::vector<std::uint64_t> targets;
+  targets.reserve(static_cast<std::size_t>(n) * m);
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint32_t k = 0; k < m; ++k)
+      targets.push_back((c.id_of(v) + (std::uint64_t{1} << k)) & (ring - 1));
+  }
+  const std::vector<NodeId> want = scan_owners(c, targets);
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint32_t k = 0; k < m; ++k) {
+      const NodeId f = want[static_cast<std::size_t>(v) * m + k];
+      ASSERT_EQ(c.finger(v, k), f) << "node " << v << " finger " << k;
+      ASSERT_EQ(c.finger_row(v)[k], f);
+    }
+    ASSERT_EQ(c.finger(v, 0), c.successor(v));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rings, ChordRingIndex,
+    ::testing::Values(std::pair{2u, 0u}, std::pair{2u, 1u}, std::pair{2u, 62u},
+                      std::pair{3u, 0u}, std::pair{3u, 2u}, std::pair{3u, 62u},
+                      std::pair{50u, 0u}, std::pair{50u, 6u}, std::pair{50u, 62u},
+                      std::pair{4096u, 0u}, std::pair{4096u, 12u}, std::pair{4096u, 62u}),
+    [](const auto& info) {
+      return "n" + std::to_string(info.param.first) + "_bits" +
+             (info.param.second == 0 ? std::string{"default"}
+                                     : std::to_string(info.param.second));
+    });
 
 TEST(Chord, RouteReachesOwner) {
   ChordOverlay c{512, 8};

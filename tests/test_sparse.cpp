@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "aggregate/routing.hpp"
 #include "aggregate/sparse.hpp"
 #include "baselines/chord_uniform.hpp"
 #include "support/mathutil.hpp"
@@ -39,6 +42,80 @@ TEST(OverlayGraph, ConnectedWithLogDegrees) {
       if (f != v) {
         EXPECT_TRUE(g.has_edge(v, f));
       }
+    }
+  }
+}
+
+TEST(OverlayGraph, MatchesSetReference) {
+  // The plain reference: a std::set of every successor and finger link.
+  for (const std::uint32_t n : {2u, 3u, 1024u}) {
+    for (const std::uint32_t bits : {0u, ceil_log2(n), 62u}) {
+      const ChordOverlay chord{n, 40 + n, bits};
+      std::set<std::pair<NodeId, NodeId>> want;
+      for (NodeId v = 0; v < n; ++v) {
+        auto add = [&want, v](NodeId w) {
+          if (w != v) want.emplace(std::min(v, w), std::max(v, w));
+        };
+        add(chord.successor(v));
+        for (std::uint32_t k = 0; k < chord.ring_bits(); ++k) add(chord.finger(v, k));
+      }
+      std::vector<std::vector<NodeId>> adjacency(n);
+      for (const auto& [a, b] : want) {
+        adjacency[a].push_back(b);
+        adjacency[b].push_back(a);
+      }
+      const Graph g = overlay_graph(chord);
+      ASSERT_EQ(g.size(), n);
+      ASSERT_EQ(g.edge_count(), want.size()) << "n=" << n << " bits=" << bits;
+      for (NodeId v = 0; v < n; ++v) {
+        std::sort(adjacency[v].begin(), adjacency[v].end());
+        const auto got = g.neighbors(v);
+        ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), adjacency[v])
+            << "n=" << n << " bits=" << bits << " node " << v;
+      }
+    }
+  }
+}
+
+TEST(SparseRouter, ChordFastHopMatchesLiveHop) {
+  // next_hop_fast (crash-free runs) and next_hop_live under an all-alive
+  // view (the liveness-aware code every faulty run takes) must walk the
+  // same routes hop for hop.
+  const LivenessView all_alive{nullptr, [](const void*, NodeId) { return true; }};
+  // With 11 bits half the ring points are ids: many successors sit at
+  // distance 1, so fingers 0 and 1 differ, and finger floor(log2 d) still
+  // often overshoots the key.
+  for (const std::uint32_t bits : {0u, 11u, 62u}) {
+    const ChordOverlay chord{1024, 17, bits};
+    const SparseRouter router = SparseRouter::on_chord(chord);
+    auto walk = [&](NodeId src, RouteState st, bool fast) {
+      std::vector<NodeId> path{src};
+      for (std::uint32_t hop = 0; hop <= router.max_route_hops(); ++hop) {
+        const NodeId at = path.back();
+        const NodeId nh = fast ? router.next_hop_fast(at, st)
+                               : router.next_hop_live(at, st, all_alive);
+        if (nh == at) break;
+        path.push_back(nh);
+      }
+      EXPECT_EQ(st.mode, RouteState::Mode::kDone);
+      return path;
+    };
+    Rng rng{5 + bits};
+    for (int i = 0; i < 2000; ++i) {
+      const auto src = static_cast<NodeId>(rng.next_below(chord.size()));
+      const RouteState sample = router.begin_random(src, rng);
+      const std::vector<NodeId> path = walk(src, sample, true);
+      ASSERT_EQ(path, walk(src, sample, false)) << "bits=" << bits << " route " << i;
+      // A sample ends `steps` successors past the owner of its key.
+      NodeId end = chord.owner_of_key(sample.target);
+      for (std::uint32_t s = 0; s < sample.steps; ++s) end = chord.successor(end);
+      ASSERT_EQ(path.back(), end);
+
+      const auto dst = static_cast<NodeId>(rng.next_below(chord.size()));
+      const RouteState directed = router.begin_directed(dst);
+      const std::vector<NodeId> to_dst = walk(src, directed, true);
+      ASSERT_EQ(to_dst, walk(src, directed, false)) << "bits=" << bits << " route " << i;
+      ASSERT_EQ(to_dst.back(), dst);
     }
   }
 }

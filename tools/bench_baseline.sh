@@ -18,7 +18,8 @@
 #   3. bench_table1 --table1_json on the pinned config matrix
 #      (n in {256, 1024, 4096}, complete + grid) -- the ops counters
 #      (rounds/msgs) the CI golden check pins;
-#   4. bench_engine micro-benchmarks (rounds/sec, msgs/sec, allocs/run).
+#   4. bench_engine micro-benchmarks (rounds/sec, msgs/sec, allocs/run,
+#      ms/run), including the per-seed Chord substrate build.
 #
 # Usage:
 #   tools/bench_baseline.sh [BUILD_DIR] [OUT_JSON]
@@ -185,6 +186,7 @@ if [ -x "$ENGINE" ]; then
   "$ENGINE" --benchmark_format=json > "$TMP/engine.json" 2>/dev/null
   python3 - "$TMP/engine.json" >> "$TMP/rows.json" <<'PY'
 import json, sys
+TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 doc = json.load(open(sys.argv[1]))
 for b in doc.get("benchmarks", []):
     name = b.get("name", "")
@@ -194,6 +196,9 @@ for b in doc.get("benchmarks", []):
         "rounds_per_sec": round(b.get("rounds_per_sec", 0.0), 1),
         "msgs_per_sec": round(b.get("msgs_per_sec", 0.0), 1),
         "allocs_per_run": b.get("allocs_per_run", 0.0),
+        # Wall time of one iteration (one run / one build): recorded for
+        # the trajectory, never gated.
+        "ms_per_run": round(b.get("real_time", 0.0) * TO_MS[b.get("time_unit", "ns")], 4),
     }
     print(json.dumps(row))
 PY

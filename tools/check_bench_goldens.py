@@ -12,11 +12,13 @@ goldens (tests/golden/bench_table1_ops.json) on two axes:
     n, trials) must match, and the threads-1-vs-threads-4 determinism
     bit must stay true.  This is the byte-identity pin for the whole
     dense + sparse pipeline output, guarding e.g. transport refactors.
-  * engine_micro allocs_per_run, routed cases only (BM_EngineChordDrr,
-    BM_EngineDrrSparseGrid): the flattened routed hot path holds heap
-    traffic O(1) in n, so a fresh count more than 10% above the golden
-    is a hard failure, as is regained O(n) growth (the n=16384 count
-    exceeding twice the n=1024 count).
+  * engine_micro allocs_per_run, for the routed cases (BM_EngineChordDrr,
+    BM_EngineDrrSparseGrid) and the per-seed Chord substrate build
+    (BM_ChordSubstrateBuild): the flattened routed hot path and the flat
+    overlay + link-graph builders hold heap traffic O(1) in n, so a
+    fresh count more than 10% above the golden is a hard failure, as is
+    regained O(n) growth (the n=16384 count exceeding twice the n=1024
+    count).
   * n_sweep rows (single-run scaling family): per (algo, topology, n),
     msgs/(n log2 n) must stay within 20% of the golden ratio -- that
     ratio *is* the paper's O(n log n) message claim, so a drift past
@@ -38,8 +40,10 @@ import sys
 
 
 # Micro cases whose allocation count is a gated contract: the routed hot
-# path (chord-drr on the overlay, drr through the sparse grid pipeline).
-ROUTED_CASES = ("BM_EngineChordDrr", "BM_EngineDrrSparseGrid")
+# path (chord-drr on the overlay, drr through the sparse grid pipeline)
+# and the per-seed Chord substrate build (overlay + link graph).
+ALLOC_GATED_CASES = ("BM_EngineChordDrr", "BM_EngineDrrSparseGrid",
+                     "BM_ChordSubstrateBuild")
 
 
 def golden_rows(path):
@@ -89,11 +93,11 @@ def check_nsweep(fresh, golden):
 
 
 def check_allocs(fresh, golden):
-    """Routed allocs_per_run gate; returns the failure count."""
+    """allocs_per_run gate; returns (failure count, cases checked)."""
     failures = 0
     checked = 0
     for case, want in sorted(golden.items()):
-        if not case.startswith(ROUTED_CASES) or want is None:
+        if not case.startswith(ALLOC_GATED_CASES) or want is None:
             continue
         got = fresh.get(case)
         if got is None:
@@ -105,7 +109,7 @@ def check_allocs(fresh, golden):
             print(f"ALLOC-DRIFT {case}: allocs_per_run {want} -> {got} "
                   "(>10% regression)")
             failures += 1
-    for prefix in ROUTED_CASES:
+    for prefix in ALLOC_GATED_CASES:
         small = fresh.get(f"{prefix}/1024")
         big = fresh.get(f"{prefix}/16384")
         if small is not None and big is not None and big > 2 * small + 128:
