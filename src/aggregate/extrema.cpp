@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "aggregate/pipeline.hpp"
 #include "drr/drr.hpp"
-#include "sim/engine.hpp"
+#include "rootgossip/gossip_max_protocol.hpp"
 #include "support/mathutil.hpp"
+#include "trees/convergecast_protocol.hpp"
 
 namespace drrg {
 
@@ -15,112 +18,11 @@ namespace {
 
 using MinVec = std::vector<double>;
 
-void absorb_min(MinVec& into, const MinVec& from) {
-  for (std::size_t j = 0; j < into.size(); ++j) into[j] = std::min(into[j], from[j]);
-}
-
-// ---------------------------------------------------------------------------
-// Vector convergecast-min (Phase II for the min-vectors).
-
-struct VecMsg {
-  enum class Kind : std::uint8_t { kValue, kAck, kGossip, kInquiry, kReply };
-  Kind kind;
-  MinVec vec;                         // kValue/kGossip/kReply payload
-  sim::NodeId origin = sim::kNoNode;  // kInquiry
-};
-
-struct VecConvergecast {
-  VecConvergecast(const Forest& f, std::vector<MinVec>& state_, std::uint32_t bits)
-      : forest(f), state(state_), vec_bits(bits) {
-    pending_children.assign(f.size(), 0);
-    sent_up.assign(f.size(), false);
-    for (NodeId v = 0; v < f.size(); ++v) {
-      if (!f.is_member(v)) continue;
-      pending_children[v] = static_cast<std::uint32_t>(f.children(v).size());
-      if (!f.is_root(v)) ++unfinished;
-    }
-  }
-
-  const Forest& forest;
-  std::vector<MinVec>& state;
-  std::uint32_t vec_bits;
-  std::vector<std::uint32_t> pending_children;
-  std::vector<bool> sent_up;
-  std::uint32_t unfinished = 0;
-
-  void on_round(sim::Network<VecMsg>& net, sim::NodeId v) {
-    if (!forest.is_member(v) || forest.is_root(v)) return;
-    if (sent_up[v] || pending_children[v] > 0) return;
-    net.send(v, forest.parent(v), VecMsg{VecMsg::Kind::kValue, state[v], sim::kNoNode},
-             vec_bits);
-  }
-
-  void on_message(sim::Network<VecMsg>& net, sim::NodeId src, sim::NodeId dst,
-                  const VecMsg& m) {
-    if (m.kind != VecMsg::Kind::kValue) return;
-    absorb_min(state[dst], m.vec);
-    --pending_children[dst];
-    net.reply(dst, src, VecMsg{VecMsg::Kind::kAck, {}, sim::kNoNode}, 1);
-  }
-
-  void on_reply(sim::Network<VecMsg>&, sim::NodeId, sim::NodeId dst, const VecMsg& m) {
-    if (m.kind != VecMsg::Kind::kAck || sent_up[dst]) return;
-    sent_up[dst] = true;
-    --unfinished;
-  }
-
-  [[nodiscard]] bool done(const sim::Network<VecMsg>&) const { return unfinished == 0; }
-};
-
-// ---------------------------------------------------------------------------
-// Vector root gossip (Phase III): gossip procedure + sampling, min-absorb.
-
-struct VecGossip {
-  VecGossip(const Forest& f, std::vector<MinVec>& state_, std::uint32_t bits,
-            std::uint32_t gossip_rounds_, std::uint32_t sampling_rounds_)
-      : forest(f), state(state_), vec_bits(bits), gossip_rounds(gossip_rounds_),
-        sampling_rounds(sampling_rounds_) {}
-
-  const Forest& forest;
-  std::vector<MinVec>& state;
-  std::uint32_t vec_bits;
-  std::uint32_t gossip_rounds;
-  std::uint32_t sampling_rounds;
-  std::uint32_t drain = 4;
-
-  [[nodiscard]] std::uint32_t total_rounds() const {
-    return gossip_rounds + drain + sampling_rounds + drain;
-  }
-
-  void on_round(sim::Network<VecMsg>& net, sim::NodeId v) {
-    if (!forest.is_root(v)) return;
-    const std::uint32_t r = net.round();
-    if (r < gossip_rounds) {
-      net.send(v, net.sample_peer(v), VecMsg{VecMsg::Kind::kGossip, state[v], sim::kNoNode},
-               vec_bits);
-    } else if (r >= gossip_rounds + drain &&
-               r < gossip_rounds + drain + sampling_rounds) {
-      net.send(v, net.sample_peer(v), VecMsg{VecMsg::Kind::kInquiry, {}, v}, vec_bits);
-    }
-  }
-
-  void on_message(sim::Network<VecMsg>& net, sim::NodeId, sim::NodeId dst, const VecMsg& m) {
-    if (!forest.is_root(dst)) {
-      net.send(dst, forest.root_of(dst), m, vec_bits);  // forward (2nd hop)
-      return;
-    }
-    switch (m.kind) {
-      case VecMsg::Kind::kGossip:
-      case VecMsg::Kind::kReply:
-        absorb_min(state[dst], m.vec);
-        break;
-      case VecMsg::Kind::kInquiry:
-        net.send(dst, m.origin, VecMsg{VecMsg::Kind::kReply, state[dst], sim::kNoNode},
-                 vec_bits);
-        break;
-      default:
-        break;
-    }
+/// Componentwise minimum: the fold of both Phase II and Phase III.
+struct MinEach {
+  using Value = MinVec;
+  void operator()(MinVec& into, const MinVec& from) const {
+    for (std::size_t j = 0; j < into.size(); ++j) into[j] = std::min(into[j], from[j]);
   }
 };
 
@@ -139,18 +41,17 @@ ExtremaOutcome run_extrema(std::uint32_t n, std::span<const double> rates,
   const std::uint32_t vec_bits = k * 64 + address_bits(n);
 
   // Per-node exponential draws: w ~ Exp(rate) = -ln(U)/rate.
-  std::vector<MinVec> state(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!forest.is_member(v)) continue;
+  auto draw_minima = [&](NodeId v) {
     if (!(rates[v] > 0.0))
       throw std::invalid_argument("extrema propagation requires positive values");
     Rng draw = rngs.node_stream(v, 0xe87e);
-    state[v].resize(k);
+    MinVec w(k);
     for (std::uint32_t j = 0; j < k; ++j) {
       const double u = std::max(draw.next_unit(), 1e-300);
-      state[v][j] = -std::log(u) / rates[v];
+      w[j] = -std::log(u) / rates[v];
     }
-  }
+    return w;
+  };
 
   ExtremaOutcome out;
   out.k = k;
@@ -161,32 +62,32 @@ ExtremaOutcome run_extrema(std::uint32_t n, std::span<const double> rates,
   // Phase II: componentwise-min convergecast.  Each phase's Network
   // resumes the scenario's global clock where the previous one stopped,
   // so one churn schedule spans all three phases.
+  CcProtocol<MinEach> cc{forest, MinEach{}, vec_bits, draw_minima};
   {
-    sim::Network<VecMsg> net{n, rngs,
-                             scenario.at_round(scenario.start_round + out.rounds_total),
-                             0xecc};
-    VecConvergecast cc{forest, state, vec_bits};
-    const std::uint32_t rounds = net.run(cc, 8 * (forest.max_tree_height() + 2) + 64);
+    sim::Network<CcMsg<MinVec>> net{
+        n, rngs, scenario.at_round(scenario.start_round + out.rounds_total), 0xecc};
+    const std::uint32_t rounds = net.run(cc, convergecast_round_budget(forest));
     out.counters += net.counters();
     out.rounds_total += rounds;
   }
 
-  // Phase III: vector gossip among the roots.
+  // Phase III: Gossip-max among the roots with min-merge, configured the
+  // way the dense Max pipeline configures it (member relay and the
+  // substrate/latency budget scale).
+  GossipMaxConfig gm_cfg = config.gossip;
+  gm_cfg.round_budget_scale *= phase3_scale(n, scenario, DrrGossipConfig{});
+  GossipMaxProtocol<MinEach> gossip{forest, MinEach{}, vec_bits, gm_cfg, scenario.topology,
+                                    [&cc](NodeId r) { return std::move(cc.state[r].acc); }};
   {
-    sim::Network<VecMsg> net{n, rngs,
-                             scenario.at_round(scenario.start_round + out.rounds_total),
-                             0xe90};
-    const auto G = static_cast<std::uint32_t>(config.gossip.gossip_multiplier *
-                                              static_cast<double>(ceil_log2(n)));
-    const auto S = static_cast<std::uint32_t>(config.gossip.sampling_multiplier *
-                                              static_cast<double>(ceil_log2(n)));
-    VecGossip gossip{forest, state, vec_bits, G, S};
+    sim::Network<GmMsg<MinVec>> net{
+        n, rngs, scenario.at_round(scenario.start_round + out.rounds_total), 0xe90};
     for (std::uint32_t r = 0; r < gossip.total_rounds(); ++r) net.step(gossip);
     out.counters += net.counters();
     out.rounds_total += gossip.total_rounds();
   }
 
   // Estimate at every root; consensus iff all share the global min vector.
+  const std::vector<MinVec>& state = gossip.value;
   const NodeId z = forest.largest_tree_root();
   double sum_min = 0.0;
   for (double m : state[z]) sum_min += m;

@@ -15,7 +15,13 @@
 //   * the componentwise minimum over all nodes is distributed
 //     Exp(n) resp. Exp(sum v_i), and diffuses through exactly the same
 //     three phases as Max: convergecast-min up the DRR trees, then
-//     root gossip with componentwise-min absorption;
+//     root gossip with componentwise-min absorption.  Both run the
+//     shared protocols (trees/convergecast_protocol.hpp and
+//     rootgossip/gossip_max_protocol.hpp) with a min-vector fold, so
+//     extrema gets everything Max gets: per-child dedup of repeated
+//     sends under latency, the member relay and the diameter/latency
+//     round budget on explicit substrates, and calls landing on
+//     late joiners (alive, but outside the forest) dropped;
 //   * each root estimates n (resp. the sum) as (k-1) / sum_j min_j --
 //     the unbiased inverse-Gamma estimator with relative standard error
 //     1/sqrt(k-2).
@@ -37,7 +43,8 @@ namespace drrg {
 struct ExtremaConfig {
   /// Number of exponentials per node; 0 = 4 * ceil(log2 n).
   std::uint32_t k = 0;
-  /// Phase III schedule (reuses the Gossip-max multipliers).
+  /// Phase III schedule and member relay, as for Gossip-max (stream_tag
+  /// is unused: extrema's streams have fixed purposes).
   GossipMaxConfig gossip;
 };
 

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "aggregate/pipeline.hpp"
 #include "aggregate/routing.hpp"
 #include "rootgossip/ordered_key.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
-#include "support/scratch.hpp"
-#include "trees/broadcast.hpp"
-#include "trees/convergecast.hpp"
 
 namespace drrg {
 
@@ -72,22 +69,6 @@ Graph overlay_graph(const ChordOverlay& chord) {
 }
 
 namespace {
-
-constexpr double kAgreeTolerance = 1e-9;
-
-// Pooled payload-staging slots (support/scratch.hpp).  Distinct tags for
-// buffers whose lifetimes overlap within one pipeline run; contents are
-// fully rewritten by assign() before every use.
-enum ScratchTag : int {
-  kScratchAddrPayload,
-  kScratchValuePayload,
-  kScratchKeys,
-  kScratchRootValue,
-  kScratchNum0,
-  kScratchDen0,
-  kScratchSpreadKeys,
-  kScratchSpreadAux,
-};
 
 // ---------------------------------------------------------------------------
 // Phase III carriers.  A logical G~ send travels as one engine envelope
@@ -611,88 +592,20 @@ SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Shared pipeline scaffolding.
-
-struct SparsePhase12 {
-  LocalDrrResult drr;
-  ConvergecastResult cc;
-  BroadcastResult addr;
-  std::uint32_t end_round = 0;  ///< global clock after Phase II
-};
-
-/// Phases I and II.  Each phase's Network starts where the previous one
-/// stopped on the scenario's global clock, so one churn schedule spans
-/// the whole pipeline.
-SparsePhase12 run_sparse_phase12(const Graph& links, std::span<const double> values,
-                                 ConvergecastOp op, const RngFactory& rngs,
-                                 const sim::Scenario& scenario,
-                                 const SparseGossipConfig& config) {
-  SparsePhase12 p;
-  std::uint32_t clock = scenario.start_round;
-  p.drr = run_local_drr(links, rngs, scenario, config.local_drr);
-  clock += p.drr.rounds;
-  p.cc = run_convergecast(p.drr.forest, values, op, rngs, scenario.at_round(clock),
-                          config.convergecast);
-  clock += p.cc.rounds;
-  std::vector<double>& addr_payload =
-      support::scratch_buffer<double, kScratchAddrPayload>();
-  addr_payload.assign(links.size(), 0.0);
-  for (NodeId r : p.drr.forest.roots()) addr_payload[r] = static_cast<double>(r);
-  BroadcastConfig addr_cfg = config.broadcast;
-  addr_cfg.simultaneous_children = true;
-  addr_cfg.stream_tag = derive_seed(addr_cfg.stream_tag, 1);
-  p.addr = run_broadcast(p.drr.forest, addr_payload, rngs, scenario.at_round(clock),
-                         addr_cfg);
-  p.end_round = clock + p.addr.rounds;
-  return p;
-}
-
-void fill_summary(const Forest& f, AggregateOutcome& out) {
-  out.forest.num_trees = f.num_trees();
-  out.forest.max_tree_size = f.max_tree_size();
-  out.forest.max_tree_height = f.max_tree_height();
-  out.forest.largest_tree_root = f.largest_tree_root();
-  out.participating.assign(f.size(), false);
-  for (NodeId v = 0; v < f.size(); ++v) out.participating[v] = f.is_member(v);
-}
-
-void sparse_finish(std::uint32_t n, const Forest& forest,
-                   std::span<const double> root_value, const RngFactory& rngs,
-                   const sim::Scenario& scenario, const SparseGossipConfig& config,
-                   AggregateOutcome& out) {
-  bool bc_incomplete = false;
-  if (config.broadcast_result) {
-    BroadcastConfig value_cfg = config.broadcast;
-    value_cfg.simultaneous_children = true;
-    value_cfg.stream_tag = derive_seed(value_cfg.stream_tag, 2);
-    std::vector<double>& payload =
-        support::scratch_buffer<double, kScratchValuePayload>();
-    payload.assign(root_value.begin(), root_value.end());
-    const BroadcastResult bc = run_broadcast(
-        forest, payload, rngs,
-        scenario.at_round(scenario.start_round + out.rounds_total), value_cfg);
-    out.metrics.value_broadcast = bc.counters;
-    out.rounds_total += bc.rounds;
-    out.per_node = bc.received;
-    bc_incomplete = !bc.complete;
-  }
-
-  // Consensus is judged among the roots that survive the *whole* run
-  // (value-broadcast rounds included, so the reported value never
-  // originates from a root the participating mask excludes): a root
-  // crashed mid-run holds a frozen key that no live participant can
-  // observe.  Fault-free and crash-only runs see every root, the
-  // historical criterion.  The same mask prunes the participating set
-  // (Phase I membership captures who was alive at the *start*).
-  std::vector<bool> alive;
-  if (scenario.faults.has_churn() || scenario.faults.has_blocks() ||
-      scenario.faults.has_joins()) {
-    alive = sim::survivor_mask(n, rngs, scenario.faults,
-                               scenario.start_round + out.rounds_total);
-    for (std::uint32_t v = 0; v < n; ++v)
-      out.participating[v] = out.participating[v] && alive[v];
-  }
+/// Final value broadcast + consensus bookkeeping of the sparse pipelines.
+/// Consensus is judged among the roots that survive the *whole* run
+/// (value-broadcast rounds included, so the reported value never
+/// originates from a root the participating mask excludes): a root
+/// crashed mid-run holds a frozen key that no live participant can
+/// observe.  Fault-free and crash-only runs see every root, the
+/// historical criterion.
+void sparse_finish(const Forest& forest, std::span<const double> root_value,
+                   const RngFactory& rngs, const sim::Scenario& scenario,
+                   const SparseGossipConfig& config, AggregateOutcome& out) {
+  const bool bc_incomplete =
+      config.broadcast_result &&
+      !broadcast_value(forest, root_value, rngs, scenario, config.broadcast, out);
+  const std::vector<bool> alive = keep_final_survivors(rngs, scenario, out);
 
   NodeId agree_root = kNoParent;  // largest surviving tree, ties to small id
   for (NodeId r : forest.roots()) {
@@ -704,17 +617,8 @@ void sparse_finish(std::uint32_t n, const Forest& forest,
     out.consensus = false;
     return;
   }
-  out.consensus = true;
-  const double ref = root_value[agree_root];
-  for (NodeId r : forest.roots()) {
-    if (!alive.empty() && !alive[r]) continue;
-    const double scale = std::max({std::fabs(ref), std::fabs(root_value[r]), 1.0});
-    if (std::fabs(root_value[r] - ref) > kAgreeTolerance * scale) {
-      out.consensus = false;
-      break;
-    }
-  }
-  out.value = ref;
+  out.value = root_value[agree_root];
+  out.consensus = roots_agree(forest, root_value, out.value, alive);
   // Under mid-run deaths (churn or block outages) a tree whose root died
   // is legitimately cut off; the roots' agreement above is the consensus
   // criterion then.  Otherwise incompleteness means retry exhaustion.
@@ -729,20 +633,16 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
                                      const SparseRouter& router,
                                      std::span<const double> values, std::uint64_t seed,
                                      const sim::Scenario& scenario,
-                                     const SparseGossipConfig& config) {
+                                     SparseGossipConfig config) {
   if (values.size() < n) throw std::invalid_argument("sparse_drr_gossip: values too short");
+  config.broadcast.simultaneous_children = true;  // §4 Assumption 1
   RngFactory rngs{seed};
 
-  SparsePhase12 p = run_sparse_phase12(links, values, ConvergecastOp::kMax, rngs,
-                                       scenario, config);
-  const Forest& forest = p.drr.forest;
-
   AggregateOutcome out;
-  fill_summary(forest, out);
-  out.metrics.drr = p.drr.counters;
-  out.metrics.convergecast = p.cc.counters;
-  out.metrics.root_broadcast = p.addr.counters;
-  out.rounds_total = p.drr.rounds + p.cc.rounds + p.addr.rounds;
+  const LocalDrrResult drr = run_local_drr(links, rngs, scenario, config.local_drr);
+  const Forest& forest = drr.forest;
+  const Phase12 p = run_phase12(drr, values, ConvergecastOp::kMax, rngs, scenario,
+                                config.convergecast, config.broadcast, out);
   if (forest.roots().empty()) return out;
 
   std::vector<std::uint64_t>& keys =
@@ -760,7 +660,7 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
       support::scratch_buffer<double, kScratchRootValue>();
   root_value.assign(n, 0.0);
   for (NodeId r : forest.roots()) root_value[r] = decode_ordered(gm.key[r]);
-  sparse_finish(n, forest, root_value, rngs, scenario, config, out);
+  sparse_finish(forest, root_value, rngs, scenario, config, out);
   return out;
 }
 
@@ -768,20 +668,16 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
                                      const SparseRouter& router,
                                      std::span<const double> values, std::uint64_t seed,
                                      const sim::Scenario& scenario,
-                                     const SparseGossipConfig& config) {
+                                     SparseGossipConfig config) {
   if (values.size() < n) throw std::invalid_argument("sparse_drr_gossip: values too short");
+  config.broadcast.simultaneous_children = true;  // §4 Assumption 1
   RngFactory rngs{seed};
 
-  SparsePhase12 p = run_sparse_phase12(links, values, ConvergecastOp::kSum, rngs,
-                                       scenario, config);
-  const Forest& forest = p.drr.forest;
-
   AggregateOutcome out;
-  fill_summary(forest, out);
-  out.metrics.drr = p.drr.counters;
-  out.metrics.convergecast = p.cc.counters;
-  out.metrics.root_broadcast = p.addr.counters;
-  out.rounds_total = p.drr.rounds + p.cc.rounds + p.addr.rounds;
+  const LocalDrrResult drr = run_local_drr(links, rngs, scenario, config.local_drr);
+  const Forest& forest = drr.forest;
+  const Phase12 p = run_phase12(drr, values, ConvergecastOp::kSum, rngs, scenario,
+                                config.convergecast, config.broadcast, out);
   if (forest.roots().empty()) return out;
 
   // Phase III(a): push-sum on (local sum, tree size).
@@ -834,7 +730,7 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   root_value.assign(n, 0.0);
   for (NodeId r : forest.roots())
     root_value[r] = spread.key[r] == kKeyBottom ? 0.0 : decode_ordered(spread.aux[r]);
-  sparse_finish(n, forest, root_value, rngs, scenario, config, out);
+  sparse_finish(forest, root_value, rngs, scenario, config, out);
   return out;
 }
 

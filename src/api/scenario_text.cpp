@@ -52,51 +52,16 @@ bool parse_range(std::string_view text, std::uint32_t* lo, std::uint32_t* hi) {
   return *lo <= *hi;
 }
 
-}  // namespace
-
-std::optional<std::vector<sim::CrashEvent>> parse_churn(std::string_view text) {
-  std::vector<sim::CrashEvent> events;
-  if (text.empty()) return events;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string_view item = text.substr(pos, comma - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= item.size())
-      return std::nullopt;
-    const std::string round_str{item.substr(0, colon)};
-    const std::string frac_str{item.substr(colon + 1)};
-    char* end = nullptr;
-    const unsigned long round = std::strtoul(round_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    const double fraction = std::strtod(frac_str.c_str(), &end);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    if (fraction <= 0.0 || fraction >= 1.0) return std::nullopt;
-    events.push_back({static_cast<std::uint32_t>(round), fraction});
-    if (comma == text.size()) break;
-    pos = comma + 1;
-  }
-  return events;
-}
-
-std::string format_churn(const std::vector<sim::CrashEvent>& churn) {
-  std::string out;
-  char buf[64];
-  for (const sim::CrashEvent& e : churn) {
-    if (!out.empty()) out += ',';
-    std::snprintf(buf, sizeof buf, "%u:%g", e.round, e.fraction);
-    out += buf;
-  }
-  return out;
-}
-
-std::optional<std::vector<sim::JoinEvent>> parse_joins(std::string_view text) {
-  std::vector<sim::JoinEvent> events;
+// "R:F[,R:F...]" -> events with a round and a (0, 1) fraction: the
+// churn and join grammar.
+template <typename Event>
+std::optional<std::vector<Event>> parse_round_fractions(std::string_view text) {
+  std::vector<Event> events;
   if (text.empty()) return events;
   const bool ok = for_each_item(text, [&](std::string_view item) {
     const std::size_t colon = item.find(':');
     if (colon == std::string_view::npos) return false;
-    sim::JoinEvent e{};
+    Event e{};
     if (!parse_u32(item.substr(0, colon), &e.round)) return false;
     if (!parse_frac(item.substr(colon + 1), &e.fraction)) return false;
     events.push_back(e);
@@ -106,15 +71,34 @@ std::optional<std::vector<sim::JoinEvent>> parse_joins(std::string_view text) {
   return events;
 }
 
-std::string format_joins(const std::vector<sim::JoinEvent>& joins) {
+template <typename Event>
+std::string format_round_fractions(const std::vector<Event>& events) {
   std::string out;
   char buf[64];
-  for (const sim::JoinEvent& e : joins) {
+  for (const Event& e : events) {
     if (!out.empty()) out += ',';
     std::snprintf(buf, sizeof buf, "%u:%g", e.round, e.fraction);
     out += buf;
   }
   return out;
+}
+
+}  // namespace
+
+std::optional<std::vector<sim::CrashEvent>> parse_churn(std::string_view text) {
+  return parse_round_fractions<sim::CrashEvent>(text);
+}
+
+std::string format_churn(const std::vector<sim::CrashEvent>& churn) {
+  return format_round_fractions(churn);
+}
+
+std::optional<std::vector<sim::JoinEvent>> parse_joins(std::string_view text) {
+  return parse_round_fractions<sim::JoinEvent>(text);
+}
+
+std::string format_joins(const std::vector<sim::JoinEvent>& joins) {
+  return format_round_fractions(joins);
 }
 
 std::optional<std::vector<sim::BlockCrashEvent>> parse_blocks(std::string_view text) {

@@ -4,117 +4,52 @@
 #include <span>
 #include <stdexcept>
 
-#include "sim/engine.hpp"
 #include "support/mathutil.hpp"
+#include "trees/convergecast_protocol.hpp"
 
 namespace drrg {
 
 namespace {
 
-struct CcMsg {
-  enum class Kind : std::uint8_t { kValue, kAck };
-  Kind kind;
+/// Algorithm 3's (value-sum, node-count) vector; kMax/kMin fold only `a`.
+struct CcPair {
   double a = 0.0;  // aggregate
   double b = 0.0;  // weight (kSum)
 };
 
-struct CcProtocol {
-  CcProtocol(const Forest& f, std::span<const double> values, ConvergecastOp o,
-             std::uint32_t n)
-      : forest(f), op(o), value_bits(64 + address_bits(n)), state(n),
-        reported(n, 0) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!f.is_member(v)) continue;
-      NodeState& s = state[v];
-      s.acc_a = values[v];
-      s.acc_b = 1.0;
-      s.pending_children = static_cast<std::uint32_t>(f.children(v).size());
-      if (!f.is_root(v)) {
-        ++unfinished;
-        active.push_back(v);  // roots never act in on_round
-      }
-    }
-    for (NodeId r : f.roots())
-      if (state[r].pending_children > 0) ++unfinished_roots;
-  }
-
-  struct NodeState {
-    double acc_a = 0.0;
-    double acc_b = 0.0;
-    std::uint32_t pending_children = 0;
-    bool sent_up = false;  // parent acknowledged
-  };
-
-  const Forest& forest;
+struct OpFold {
+  using Value = CcPair;
   ConvergecastOp op;
-  std::uint32_t value_bits;
-  std::vector<NodeState> state;
-  /// reported[c]: c's kValue was absorbed at its parent.  Every node has
-  /// exactly one parent, so one flag per child edge.  Under event-time
-  /// latency the resend loop puts several copies of the same kValue in
-  /// flight before the first ack returns; absorbing a duplicate would
-  /// double-count the subtree and wrap pending_children, so duplicates
-  /// are acked (to stop the resends) but never absorbed.
-  std::vector<std::uint8_t> reported;
-  std::vector<NodeId> active;          // non-roots not yet acked, ascending
-  std::uint32_t unfinished = 0;        // non-roots that have not been acked
-  std::uint32_t unfinished_roots = 0;  // roots still waiting on children
 
-  [[nodiscard]] std::span<const sim::NodeId> active_nodes() const noexcept {
-    return active;
-  }
-
-  void absorb(NodeState& s, double a, double b) {
+  void operator()(CcPair& into, const CcPair& from) const {
     switch (op) {
-      case ConvergecastOp::kMax: s.acc_a = std::max(s.acc_a, a); break;
-      case ConvergecastOp::kMin: s.acc_a = std::min(s.acc_a, a); break;
+      case ConvergecastOp::kMax: into.a = std::max(into.a, from.a); break;
+      case ConvergecastOp::kMin: into.a = std::min(into.a, from.a); break;
       case ConvergecastOp::kSum:
-        s.acc_a += a;
-        s.acc_b += b;
+        into.a += from.a;
+        into.b += from.b;
         break;
     }
   }
-
-  void on_round(sim::Network<CcMsg>& net, sim::NodeId v) {
-    NodeState& s = state[v];
-    if (s.sent_up || s.pending_children > 0) return;
-    // All children reported: push the partial aggregate to the parent,
-    // repeating each round until the ack arrives.
-    net.send(v, forest.parent(v), CcMsg{CcMsg::Kind::kValue, s.acc_a, s.acc_b}, value_bits);
-  }
-
-  void on_message(sim::Network<CcMsg>& net, sim::NodeId src, sim::NodeId dst,
-                  const CcMsg& m) {
-    if (m.kind != CcMsg::Kind::kValue) return;
-    if (!reported[src]) {
-      reported[src] = 1;
-      NodeState& s = state[dst];
-      absorb(s, m.a, m.b);
-      --s.pending_children;
-      if (s.pending_children == 0 && forest.is_root(dst) && unfinished_roots > 0)
-        --unfinished_roots;
-    }
-    net.reply(dst, src, CcMsg{CcMsg::Kind::kAck, 0.0, 0.0}, 1);
-  }
-
-  void on_reply(sim::Network<CcMsg>&, sim::NodeId, sim::NodeId dst, const CcMsg& m) {
-    if (m.kind != CcMsg::Kind::kAck) return;
-    NodeState& s = state[dst];
-    if (!s.sent_up) {
-      s.sent_up = true;
-      --unfinished;
-    }
-  }
-
-  [[nodiscard]] bool done(const sim::Network<CcMsg>&) {
-    // Acked nodes are pure no-ops from here on; pruning runs between
-    // rounds (never while the engine iterates the active span).
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [this](NodeId v) { return state[v].sent_up; }),
-                 active.end());
-    return unfinished == 0 && unfinished_roots == 0;
-  }
 };
+
+using OpProtocol = CcProtocol<OpFold>;
+
+ConvergecastResult collect(const OpProtocol& proto, sim::Counters counters,
+                           std::uint32_t rounds) {
+  const std::uint32_t n = proto.forest.size();
+  ConvergecastResult result;
+  result.aggregate.assign(n, 0.0);
+  result.weight.assign(n, 0.0);
+  for (NodeId v = 0; v < n; ++v) {
+    result.aggregate[v] = proto.state[v].acc.a;
+    result.weight[v] = proto.state[v].acc.b;
+  }
+  result.counters = counters;
+  result.rounds = rounds;
+  result.complete = proto.unfinished == 0 && proto.unfinished_roots == 0;
+  return result;
+}
 
 /// Flat fault-free executor.  Each ready node's value reaches its parent
 /// (and is acked) within its own round, so the round resolves inline.
@@ -127,12 +62,9 @@ struct CcProtocol {
 /// early.  Per-parent absorption order is the ascending-child send order
 /// the engine produces, keeping the IEEE-754 sums bit-identical (pinned
 /// by the golden determinism tests); no RNG is ever drawn by either path.
-ConvergecastResult run_convergecast_flat(const Forest& forest,
-                                         std::span<const double> values,
-                                         ConvergecastOp op, std::uint32_t n,
-                                         std::uint32_t max_rounds) {
-  CcProtocol proto{forest, values, op, n};
-  std::vector<std::uint32_t> ready_at(n, 0);  // leaves: ready from round 0
+ConvergecastResult run_convergecast_flat(OpProtocol& proto, std::uint32_t max_rounds) {
+  const Forest& forest = proto.forest;
+  std::vector<std::uint32_t> ready_at(forest.size(), 0);  // leaves: ready from round 0
 
   sim::Counters counters;
   std::uint32_t rounds = 0;
@@ -141,15 +73,15 @@ ConvergecastResult run_convergecast_flat(const Forest& forest,
     ++counters.rounds;
     ++rounds;
     for (NodeId v : proto.active) {
-      CcProtocol::NodeState& s = proto.state[v];
+      OpProtocol::NodeState& s = proto.state[v];
       if (s.sent_up || s.pending_children > 0 || ready_at[v] > r) continue;
       // Value up, absorbed at the parent, 1-bit ack back -- all this round.
       const NodeId p = forest.parent(v);
       counters.sent += 2;
       counters.delivered += 2;
       counters.bits += proto.value_bits + 1;
-      CcProtocol::NodeState& ps = proto.state[p];
-      proto.absorb(ps, s.acc_a, s.acc_b);
+      OpProtocol::NodeState& ps = proto.state[p];
+      proto.fold(ps.acc, s.acc);
       --ps.pending_children;
       if (ps.pending_children == 0) {
         ready_at[p] = r + 1;  // pushes upward from the next round
@@ -163,18 +95,7 @@ ConvergecastResult run_convergecast_flat(const Forest& forest,
                        proto.active.end());
     if (proto.unfinished == 0 && proto.unfinished_roots == 0) break;
   }
-
-  ConvergecastResult result;
-  result.aggregate.assign(n, 0.0);
-  result.weight.assign(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    result.aggregate[v] = proto.state[v].acc_a;
-    result.weight[v] = proto.state[v].acc_b;
-  }
-  result.counters = counters;
-  result.rounds = rounds;
-  result.complete = proto.unfinished == 0 && proto.unfinished_roots == 0;
-  return result;
+  return collect(proto, counters, rounds);
 }
 
 }  // namespace
@@ -185,32 +106,15 @@ ConvergecastResult run_convergecast(const Forest& forest, std::span<const double
   const std::uint32_t n = forest.size();
   if (values.size() < n) throw std::invalid_argument("run_convergecast: values too short");
 
-  std::uint32_t max_rounds = config.max_rounds;
-  if (max_rounds == 0) {
-    // height rounds at delta = 0; each level adds a geometric number of
-    // retries under loss (delta < 1/8), so a 8x + 64 slack is far beyond
-    // the whp horizon.
-    max_rounds = 8 * (forest.max_tree_height() + 2) + 64;
-  }
-  if (scenario.faults.fault_free())
-    return run_convergecast_flat(forest, values, op, n, max_rounds);
+  const std::uint32_t max_rounds =
+      config.max_rounds != 0 ? config.max_rounds : convergecast_round_budget(forest);
+  OpProtocol proto{forest, OpFold{op}, 64 + address_bits(n),
+                   [values](NodeId v) { return CcPair{values[v], 1.0}; }};
+  if (scenario.faults.fault_free()) return run_convergecast_flat(proto, max_rounds);
 
-  sim::Network<CcMsg> net{n, rngs, scenario, derive_seed(0xcc, config.stream_tag)};
-  CcProtocol proto{forest, values, op, n};
-
+  sim::Network<OpProtocol::Msg> net{n, rngs, scenario, derive_seed(0xcc, config.stream_tag)};
   const std::uint32_t rounds = net.run(proto, max_rounds);
-
-  ConvergecastResult result;
-  result.aggregate.assign(n, 0.0);
-  result.weight.assign(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    result.aggregate[v] = proto.state[v].acc_a;
-    result.weight[v] = proto.state[v].acc_b;
-  }
-  result.counters = net.counters();
-  result.rounds = rounds;
-  result.complete = proto.done(net);
-  return result;
+  return collect(proto, net.counters(), rounds);
 }
 
 }  // namespace drrg

@@ -128,34 +128,41 @@ TEST(RunTrials, DistinctSeedsDeterministicReports) {
 }
 
 // ---------------------------------------------------------------------------
-// The full matrix at delta = 0: every pair is enumerated from the
-// registry; unsupported pairs are reported (not skipped); supported pairs
-// produce a value.
+// The full matrix at delta = 0, and again with a mid-run join: every pair
+// is enumerated from the registry; unsupported pairs are reported (not
+// skipped); supported pairs produce a value.  The joiners arrive at round
+// 40, after every DRR family has fixed its forest, so they are alive but
+// outside the overlay and every Phase III protocol must drop calls that
+// land on them.
 
 TEST(RunMatrix, EnumeratesEveryAlgorithmAggregatePair) {
-  const RunSpec base = make_spec(256, Aggregate::kAve, 17);
-  const auto reports = run_matrix(base);
+  RunSpec late_join = make_spec(256, Aggregate::kAve, 17);
+  late_join.faults.joins = {{40, 0.1}};
+  for (const RunSpec& base : {make_spec(256, Aggregate::kAve, 17), late_join}) {
+    const std::string pass = base.faults.joins.empty() ? "clean" : "join 40:0.1";
+    const auto reports = run_matrix(base);
 
-  const auto algos = Registry::instance().algorithms();
-  ASSERT_EQ(reports.size(), algos.size() * std::size(kAllAggregates));
+    const auto algos = Registry::instance().algorithms();
+    ASSERT_EQ(reports.size(), algos.size() * std::size(kAllAggregates)) << pass;
 
-  std::size_t supported_pairs = 0;
-  for (const RunReport& r : reports) {
-    const auto* algo = Registry::instance().find(r.algorithm);
-    ASSERT_NE(algo, nullptr) << r.algorithm;
-    const std::string label =
-        r.algorithm + "/" + std::string{to_string(r.aggregate)};
-    if (!algo->supports(r.aggregate)) {
-      EXPECT_FALSE(r.supported) << label;
-      EXPECT_FALSE(r.error.empty()) << label;
-      continue;
+    std::size_t supported_pairs = 0;
+    for (const RunReport& r : reports) {
+      const auto* algo = Registry::instance().find(r.algorithm);
+      ASSERT_NE(algo, nullptr) << r.algorithm;
+      const std::string label =
+          pass + ": " + r.algorithm + "/" + std::string{to_string(r.aggregate)};
+      if (!algo->supports(r.aggregate)) {
+        EXPECT_FALSE(r.supported) << label;
+        EXPECT_FALSE(r.error.empty()) << label;
+        continue;
+      }
+      ++supported_pairs;
+      ASSERT_TRUE(r.ok()) << label << ": " << r.error;
+      EXPECT_GT(r.cost.sent, 0u) << label;
     }
-    ++supported_pairs;
-    ASSERT_TRUE(r.ok()) << label << ": " << r.error;
-    EXPECT_GT(r.cost.sent, 0u) << label;
+    // The seven built-ins implement 8 + 2 + 2 + 1 + 2 + 2 + 2 pairs.
+    EXPECT_GE(supported_pairs, 19u) << pass;
   }
-  // The seven built-ins implement 8 + 2 + 2 + 1 + 2 + 2 + 2 pairs.
-  EXPECT_GE(supported_pairs, 19u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "aggregate/extrema.hpp"
+#include "sim/scenario.hpp"
 #include "support/rng.hpp"
 
 namespace drrg {
@@ -30,13 +31,37 @@ TEST(ExtremaCount, WithinPredictedError) {
 }
 
 TEST(ExtremaCount, LossInvariant) {
-  // Min-diffusion is idempotent: once consensus is reached the estimate
-  // cannot depend on delta (same seed => same draws => same minima).
+  // Min-diffusion is idempotent: once the roots agree, the estimate cannot
+  // depend on loss, delay or substrate (same seed => same draws => same
+  // minima).  Each row runs the shared convergecast and root gossip: the
+  // latency rows need the per-child dedup and the 1 + E[delay] budget,
+  // the lattice rows the member relay and the diameter budget.
+  sim::LatencyModel uniform_0_2;
+  uniform_0_2.kind = sim::LatencyModel::Kind::kUniform;
+  uniform_0_2.max_delay = 2;
+  struct Row {
+    const char* name;
+    sim::Topology topology;
+    double loss;
+    sim::LatencyModel latency;
+  };
+  const Row rows[] = {
+      {"loss 0.25", {}, 0.25, {}},
+      {"latency uniform 0-2", {}, 0.0, uniform_0_2},
+      {"grid", sim::Topology::of_grid(32, 32, false), 0.0, {}},
+      {"torus", sim::Topology::of_grid(32, 32, true), 0.0, {}},
+      {"grid + latency uniform 0-2 + loss 0.1", sim::Topology::of_grid(32, 32, false), 0.1,
+       uniform_0_2},
+  };
   const auto clean = drr_gossip_count_extrema(1024, 7);
-  const auto lossy = drr_gossip_count_extrema(1024, 7, sim::FaultSchedule{0.25, 0.0});
   ASSERT_TRUE(clean.consensus);
-  ASSERT_TRUE(lossy.consensus);
-  EXPECT_DOUBLE_EQ(clean.estimate, lossy.estimate);
+  for (const Row& row : rows) {
+    sim::FaultSchedule faults{row.loss, 0.0};
+    faults.latency = row.latency;
+    const auto r = drr_gossip_count_extrema(1024, 7, sim::Scenario{row.topology, faults});
+    EXPECT_TRUE(r.consensus) << row.name;
+    EXPECT_DOUBLE_EQ(r.estimate, clean.estimate) << row.name;
+  }
 }
 
 TEST(ExtremaCount, CountsAliveNodesOnly) {
