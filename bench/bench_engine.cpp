@@ -4,7 +4,8 @@
 // these cases measure the *simulator itself*: wall-clock throughput of the
 // hot path in rounds/sec and messages/sec per topology, and heap
 // allocations per run (the pooled-queue engine should hold this constant
-// in rounds: steady-state rounds allocate nothing).  One more case times
+// in rounds: steady-state rounds allocate nothing).  One case runs the
+// dense pipeline at the paper's fault setting.  One more case times
 // the per-seed Chord substrate build the routed pipeline starts from.
 //
 // tools/bench_baseline.sh runs these alongside the pinned CLI sweep and
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "aggregate/sparse.hpp"
 #include "api/registry.hpp"
@@ -31,7 +33,8 @@ namespace {
 /// allocation count of a single run.
 void engine_case(benchmark::State& state, const std::string& algorithm,
                  sim::TopologyKind kind,
-                 api::Pipeline pipeline = api::Pipeline::kDense) {
+                 api::Pipeline pipeline = api::Pipeline::kDense,
+                 sim::FaultSchedule faults = {}) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   api::RunSpec spec;
   spec.n = n;
@@ -39,6 +42,7 @@ void engine_case(benchmark::State& state, const std::string& algorithm,
   spec.seed = 1000;
   spec.topology.kind = kind;
   spec.pipeline = pipeline;
+  spec.faults = std::move(faults);
 
   // One untimed warmup pays the one-time costs (the memoised topology
   // build in make_scenario) that a single-iteration benchmark would
@@ -80,6 +84,14 @@ void BM_EngineDrrComplete(benchmark::State& state) {
   engine_case(state, "drr", sim::TopologyKind::kComplete);
 }
 BENCHMARK(BM_EngineDrrComplete)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
+
+// The same pipeline at the paper's fault setting: each call lost with
+// probability 0.1, 5% of the nodes crashed from the start.
+void BM_EngineDrrFaulty(benchmark::State& state) {
+  engine_case(state, "drr", sim::TopologyKind::kComplete, api::Pipeline::kDense,
+              sim::FaultSchedule{0.1, 0.05});
+}
+BENCHMARK(BM_EngineDrrFaulty)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
 
 void BM_EngineDrrGrid(benchmark::State& state) {
   engine_case(state, "drr", sim::TopologyKind::kGrid2d);

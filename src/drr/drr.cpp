@@ -153,33 +153,53 @@ struct DrrProtocol {
   }
 };
 
-/// Flat fault-free executor.  With no losses possible, every probe is
-/// answered in its own round and the first connect call is acknowledged
-/// immediately, so the whole round resolves inline: probe replies read
-/// only the static rank table and connect acks read nothing, so no
-/// handler can observe another node's same-round mutations -- inlining
-/// the two delivery passes is exactly the engine's schedule.  Counters,
-/// RNG draw order (ranks then probes, one stream per node) and the
-/// resulting forest are bit-identical to the Network path (pinned by the
-/// golden determinism tests).
-DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
-                       const sim::Scenario& scenario, const DrrConfig& config,
-                       std::uint64_t purpose) {
+/// Names Phase I's per-node streams and its loss stream.
+std::uint64_t drr_purpose(const DrrConfig& config) {
+  return config.stream_tag != 0 ? derive_seed(0x11ddULL, config.stream_tag) : 0x11ddULL;
+}
+
+/// Flat executor.  Every probe is answered and every connect acked in the
+/// round it is made, or not at all, so the whole round resolves inline:
+/// probe replies read only the static rank table and connect acks read
+/// nothing, so no handler can observe another node's same-round
+/// mutations -- inlining the two delivery passes is exactly the engine's
+/// schedule.  kFaulty adds §2's faults (sim::CallFaults): crashed nodes
+/// draw no rank and make no call, and each call's loss coin is drawn
+/// where the engine draws it, in ascending caller order; a lost probe is
+/// a spent attempt and a lost connect is retried until the cap, as
+/// on_round_end decides.  Counters, RNG draw order (ranks then probes,
+/// one stream per node) and the resulting forest are bit-identical to the
+/// Network path (pinned by the golden determinism tests).
+template <bool kFaulty>
+DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs, const sim::Topology& topology,
+                       const DrrConfig& config, sim::CallFaults& faults) {
   DrrProtocol proto{n, config};
-  const sim::Topology& topology = scenario.topology;
+  const std::uint64_t purpose = drr_purpose(config);
   const bool complete = topology.is_complete();
 
   // One stream per node, first draw the rank -- the engine's init_ranks.
   std::vector<Rng> rng;
   rng.reserve(n);
   for (NodeId v = 0; v < n; ++v) rng.push_back(rngs.node_stream(v, purpose));
-  for (NodeId v = 0; v < n; ++v) proto.rank[v] = rng[v].next_unit();
-  proto.unsettled = n;
-  proto.active.resize(n);
-  for (NodeId v = 0; v < n; ++v) proto.active[v] = v;
+  if constexpr (kFaulty) {
+    proto.active.reserve(n);
+    for (NodeId v = 0; v < n; ++v) {
+      if (faults.crashed(v)) continue;
+      proto.rank[v] = rng[v].next_unit();
+      proto.active.push_back(v);
+    }
+    proto.unsettled = static_cast<std::uint32_t>(proto.active.size());
+  } else {
+    for (NodeId v = 0; v < n; ++v) proto.rank[v] = rng[v].next_unit();
+    proto.unsettled = n;
+    proto.active.resize(n);
+    for (NodeId v = 0; v < n; ++v) proto.active[v] = v;
+  }
 
-  std::uint64_t probes = 0;    // probe + rank-reply exchanges
-  std::uint64_t connects = 0;  // connect + ack exchanges
+  std::uint64_t probes = 0;    // probes sent
+  std::uint64_t connects = 0;  // connects sent
+  std::uint64_t answered = 0;  // kFaulty: probes answered with a rank
+  std::uint64_t acked = 0;     // kFaulty: connects acknowledged
   const sim::Topology::PeerSampler sample = topology.sampler(n);
   const double* rank_of = proto.rank.data();
   const std::uint32_t max_rounds = proto.budget + config.connect_attempt_cap + 2;
@@ -189,9 +209,17 @@ DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
     for (NodeId v : proto.active) {
       DrrProtocol::NodeState& s = proto.state[v];
       if (s.pending_parent != sim::kNoNode) {
-        // Connect + ack, both delivered this round: settled.
         ++s.connect_attempts;
         ++connects;
+        if constexpr (kFaulty) {
+          if (faults.lost(s.pending_parent)) {
+            // Retry next round, or become a root by exhaustion.
+            if (s.connect_attempts >= proto.connect_cap) proto.settle(s);
+            continue;
+          }
+          ++acked;
+        }
+        // Connect + ack, both delivered this round: settled.
         s.parent = s.pending_parent;
         proto.settle(s);
         continue;
@@ -199,10 +227,22 @@ DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
       if (s.attempts < proto.budget) {
         NodeId u = sample(v, rng[v]);
         if (u == v && complete) u = (u + 1) % n;
-        // Probe out, rank reply back, both delivered this round.
+        // Probe out, rank reply back, both delivered this round -- or the
+        // call was lost and the attempt is spent all the same.
         ++probes;
         ++s.attempts;
-        if (rank_of[u] > rank_of[v]) s.pending_parent = u;
+        if constexpr (kFaulty) {
+          if (!faults.lost(u)) {
+            ++answered;
+            if (rank_of[u] > rank_of[v]) s.pending_parent = u;
+          }
+          if (s.pending_parent != sim::kNoNode) {
+            if (s.connect_attempts >= proto.connect_cap) proto.settle(s);
+            continue;
+          }
+        } else {
+          if (rank_of[u] > rank_of[v]) s.pending_parent = u;
+        }
       }
       if (s.pending_parent == sim::kNoNode && s.attempts >= proto.budget)
         proto.settle(s);  // no higher-ranked node found: root
@@ -214,17 +254,25 @@ DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
                        proto.active.end());
     if (proto.unsettled == 0) break;
   }
+  if constexpr (!kFaulty) {
+    answered = probes;
+    acked = connects;
+  }
 
   proto.total_probes = probes;
   sim::Counters counters;
-  counters.sent = 2 * (probes + connects);
-  counters.delivered = 2 * (probes + connects);
-  counters.bits = probes * (proto.addr_bits + proto.rank_bits) +
-                  connects * 2 * proto.addr_bits;
+  counters.sent = probes + answered + connects + acked;
+  counters.delivered = 2 * (answered + acked);
+  counters.lost = (probes - answered) + (connects - acked);
+  counters.bits = probes * proto.addr_bits + answered * proto.rank_bits +
+                  (connects + acked) * proto.addr_bits;
   counters.rounds = rounds;
   std::vector<NodeId> parent(n, kNoParent);
   std::vector<bool> member(n, true);
-  for (NodeId v = 0; v < n; ++v) parent[v] = proto.state[v].parent;
+  for (NodeId v = 0; v < n; ++v) {
+    parent[v] = proto.state[v].parent;
+    if constexpr (kFaulty) member[v] = !faults.crashed(v);
+  }
   DrrResult result{Forest::from_parents(std::move(parent), std::move(member)),
                    std::move(proto.rank), counters, proto.total_probes, rounds};
   return result;
@@ -235,9 +283,12 @@ DrrResult run_drr_flat(std::uint32_t n, const RngFactory& rngs,
 DrrResult run_drr(std::uint32_t n, const RngFactory& rngs, const sim::Scenario& scenario,
                   DrrConfig config) {
   if (n < 2) throw std::invalid_argument("run_drr: need n >= 2");
-  const std::uint64_t purpose =
-      config.stream_tag != 0 ? derive_seed(0x11ddULL, config.stream_tag) : 0x11ddULL;
-  if (scenario.faults.fault_free()) return run_drr_flat(n, rngs, scenario, config, purpose);
+  const std::uint64_t purpose = drr_purpose(config);
+  if (scenario.faults.paper_model()) {
+    sim::CallFaults faults{n, rngs, scenario, purpose};
+    return faults.active() ? run_drr_flat<true>(n, rngs, scenario.topology, config, faults)
+                           : run_drr_flat<false>(n, rngs, scenario.topology, config, faults);
+  }
   sim::Network<DrrMsg> net{n, rngs, scenario, purpose};
   DrrProtocol proto{n, config};
   proto.init_ranks(net);

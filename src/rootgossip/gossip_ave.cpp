@@ -244,15 +244,19 @@ struct PushSumProtocol {
 /// Flat-executor policy (rootgossip/flat_executor.hpp), production mode
 /// (forwarding on, no potential tracking): a root halves its (num, den)
 /// pair and sends one half; at a root an arriving half is added, so every
-/// IEEE-754 accumulation happens in exact delivery order.  With no faults
-/// possible, every first hop is acknowledged: the 1-bit ack is pure
-/// message accounting and the lost-mass bookkeeping never fires.
+/// IEEE-754 accumulation happens in exact delivery order.  The first
+/// receiver of each call acks it with 1 bit; a half whose call went
+/// unacked returns to its root after the round's deliveries, exactly where
+/// the engine path's on_round_end re-absorbs it.
 struct PushSumFlat {
   struct Payload {
     double num;
     double den;
   };
+  static constexpr bool kAckedCalls = true;
 
+  bool relay;
+  std::uint64_t purpose;
   std::uint32_t push_rounds;
   std::uint32_t drain;
   std::uint32_t pair_bits;
@@ -270,6 +274,10 @@ struct PushSumFlat {
   void arrive(NodeId root, const Payload& m, Send&&) const {
     num[root] += m.num;
     den[root] += m.den;
+  }
+  void unacked(NodeId root, const Payload& half) const {
+    num[root] += half.num;
+    den[root] += half.den;
   }
   void end_round(std::uint32_t) const {}
   [[nodiscard]] sim::Counters counters(std::uint64_t msgs, std::uint64_t delivered,
@@ -316,9 +324,9 @@ PushSumResult run_push_sum_impl(const Forest& forest, std::span<const double> nu
   return result;
 }
 
-/// Production mode (forwarding on, no potential tracking) on a fault-free
-/// schedule.  A function of its own: inlined into run_push_sum_impl, the
-/// executor's loops measured ~5% slower on dense-ave-clean.
+/// Production mode (forwarding on, no potential tracking) under §2's
+/// fault model.  A function of its own: inlined into run_push_sum_impl,
+/// the executor's loops measured ~5% slower on dense-ave-clean.
 PushSumResult run_push_sum_flat(const Forest& forest, std::span<const double> num0,
                                 std::span<const double> den0, const RngFactory& rngs,
                                 const sim::Scenario& scenario,
@@ -326,11 +334,15 @@ PushSumResult run_push_sum_flat(const Forest& forest, std::span<const double> nu
   const std::uint32_t n = forest.size();
   const bool relay = config.member_relay && !scenario.topology.is_complete();
   PushSumProtocol<false> proto{forest, num0, den0, config, n, relay, /*latency_bound=*/0};
-  const PushSumFlat flat{proto.push_rounds, /*drain=*/3, proto.pair_bits, proto.num.data(),
-                         proto.den.data()};
+  const PushSumFlat flat{relay, derive_seed(0xa4e, config.stream_tag), proto.push_rounds,
+                         /*drain=*/3, proto.pair_bits, proto.num.data(), proto.den.data()};
+  sim::CallFaults faults{n, rngs, scenario, flat.purpose};
   PushSumResult result;
-  result.counters = rootgossip::run_flat_root_gossip(
-      flat, forest, rngs, derive_seed(0xa4e, config.stream_tag), scenario.topology, relay);
+  result.counters =
+      faults.active()
+          ? rootgossip::run_flat_root_gossip<true>(flat, forest, rngs, scenario.topology, faults)
+          : rootgossip::run_flat_root_gossip<false>(flat, forest, rngs, scenario.topology,
+                                                    faults);
   result.num = std::move(proto.num);
   result.den = std::move(proto.den);
   result.estimate.assign(n, 0.0);
@@ -352,7 +364,7 @@ PushSumResult run_root_push_sum(const Forest& forest, std::span<const double> nu
     throw std::invalid_argument(
         "run_root_push_sum: potential tracking requires analysis mode "
         "(forward_via_trees = false)");
-  if (!config.track_potential && config.forward_via_trees && scenario.faults.fault_free())
+  if (!config.track_potential && config.forward_via_trees && scenario.faults.paper_model())
     return run_push_sum_flat(forest, num0, den0, rngs, scenario, config);
   return config.track_potential
              ? run_push_sum_impl<true>(forest, num0, den0, rngs, scenario, config)

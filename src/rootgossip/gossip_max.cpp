@@ -25,12 +25,16 @@ using KeyMsg = KeyProtocol::Msg;
 /// Flat-executor policy (rootgossip/flat_executor.hpp): a root sends its
 /// key in the gossip procedure and an inquiry in the sampling procedure;
 /// at a root, keys and inquiry replies max-merge and an inquiry is
-/// answered straight to its origin.  Every message carries key_bits.
+/// answered straight to its origin.  Every message carries key_bits, and
+/// no call is acknowledged.
 struct GossipMaxFlat {
   using Payload = KeyMsg;
+  static constexpr bool kAckedCalls = false;
 
   KeyProtocol& proto;
   std::vector<std::uint64_t>& key_after_gossip;
+  std::uint64_t purpose;
+  bool relay = proto.relay;
   std::uint64_t* key = proto.value.data();
   std::uint32_t gossip_rounds = proto.gossip_rounds;
   std::uint32_t sampling_begin = proto.gossip_rounds + proto.drain;
@@ -55,7 +59,7 @@ struct GossipMaxFlat {
     if (r + 1 == sampling_begin) key_after_gossip = proto.value;
   }
   [[nodiscard]] sim::Counters counters(std::uint64_t msgs, std::uint64_t delivered,
-                                       std::uint64_t /*calls*/) const {
+                                       std::uint64_t /*acks*/) const {
     return {.sent = msgs, .delivered = delivered, .bits = msgs * proto.bits};
   }
 };
@@ -73,10 +77,14 @@ GossipMaxResult run_gossip_max(const Forest& forest,
   KeyProtocol proto{forest, KeyMax{}, 64 + 2 * address_bits(n), config, scenario.topology,
                     [init_key](NodeId r) { return init_key[r]; }};
   GossipMaxResult result;
-  if (scenario.faults.fault_free()) {
+  if (scenario.faults.paper_model()) {
+    sim::CallFaults faults{n, rngs, scenario, purpose};
+    const GossipMaxFlat flat{proto, result.key_after_gossip, purpose};
     result.counters =
-        rootgossip::run_flat_root_gossip(GossipMaxFlat{proto, result.key_after_gossip}, forest,
-                                         rngs, purpose, scenario.topology, proto.relay);
+        faults.active()
+            ? rootgossip::run_flat_root_gossip<true>(flat, forest, rngs, scenario.topology, faults)
+            : rootgossip::run_flat_root_gossip<false>(flat, forest, rngs, scenario.topology,
+                                                      faults);
   } else {
     sim::Network<KeyMsg> net{n, rngs, scenario, purpose};
     // Run the gossip procedure (plus drain), snapshot for Theorem 5, then

@@ -190,16 +190,20 @@ struct FaultSchedule {
   [[nodiscard]] bool has_partitions() const noexcept { return !partitions.empty(); }
   [[nodiscard]] bool has_joins() const noexcept { return !joins.empty(); }
 
-  /// True when the schedule can neither lose, delay, disconnect nor crash
-  /// anything.  This is the dispatch predicate for the flat fault-free
-  /// executors -- run_drr_flat, run_convergecast_flat, run_broadcast_flat
-  /// and Phase III's run_flat_root_gossip (gossip-max, data-spread and
-  /// push-sum): under it, the generic engine path and the flat path are
-  /// step-for-step equivalent, so keep it the single source of truth when
-  /// extending the fault model.
-  [[nodiscard]] bool fault_free() const noexcept {
-    return loss_prob <= 0.0 && crash_fraction <= 0.0 && !has_churn() &&
-           !has_blocks() && !has_partitions() && !has_joins() && latency.zero();
+  /// True when the schedule is exactly §2's fault model: each call lost
+  /// independently with probability loss_prob, and a crash set fixed at
+  /// round 0 -- no churn, blocks, joins, partitions or latency (a
+  /// fault-free schedule qualifies).  This is the dispatch predicate for
+  /// the flat lockstep executors -- run_drr_flat, run_convergecast_flat,
+  /// run_broadcast_flat and Phase III's run_flat_root_gossip (gossip-max,
+  /// data-spread and push-sum), which resolve both faults inline through
+  /// sim::CallFaults: under it, the generic engine path and the flat path
+  /// are step-for-step equivalent, so keep it the single source of truth
+  /// when extending the fault model.  sim::Network keeps the structured
+  /// adversity a lockstep loop cannot express.
+  [[nodiscard]] bool paper_model() const noexcept {
+    return !has_churn() && !has_blocks() && !has_partitions() && !has_joins() &&
+           latency.zero();
   }
 
   /// True when the schedule never kills a node and none arrives late (loss,

@@ -107,6 +107,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/call_faults.hpp"
 #include "sim/counters.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"
@@ -128,7 +129,7 @@ class Network {
         scenario_(std::move(scenario)),
         rngs_(rngs),
         purpose_(purpose),
-        loss_rng_(rngs.engine_stream(derive_seed(purpose, 0x105eULL))),
+        loss_rng_(rngs.engine_stream(derive_seed(purpose, kLossStreamTag))),
         latency_rng_(rngs.engine_stream(derive_seed(purpose, 0x1a7eULL))),
         lossy_run_(scenario_.faults.loss_prob > 0.0),
         latency_on_(!scenario_.faults.latency.zero()),

@@ -194,7 +194,10 @@ class Topology {
     std::uint32_t cols = 0;
     bool torus = false;
 
-    [[nodiscard]] NodeId operator()(NodeId caller, Rng& rng) const {
+    /// Always inlined: the flat executors call it once per message, and
+    /// left to its heuristics the compiler stops inlining it into a hot
+    /// loop once the translation unit holds a few more callers.
+    [[nodiscard, gnu::always_inline]] NodeId operator()(NodeId caller, Rng& rng) const {
       if (adjacency != nullptr) {
         const std::uint64_t begin = offsets[caller];
         const std::uint64_t deg = offsets[caller + 1] - begin;

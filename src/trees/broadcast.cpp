@@ -123,19 +123,26 @@ struct BcProtocol {
   }
 };
 
-/// Flat fault-free executor.  Every kValue is delivered and acknowledged
-/// within its own round, so the round resolves inline.  The one ordering
-/// hazard -- the engine runs all upcalls before any delivery, so a child
-/// informed in round r must not itself send until round r+1 -- is handled
-/// by stamping the informing round and gating sends on informed_at < r.
-/// Counters and the informed/payload state are bit-identical to the
-/// Network path (pinned by the golden determinism tests); no RNG is ever
-/// drawn by either path.
+/// Flat executor.  Every kValue is delivered and acknowledged within its
+/// own round, or lost and resent the next round, so the round resolves
+/// inline.  The one ordering hazard -- the engine runs all upcalls before
+/// any delivery, so a child informed in round r must not itself send until
+/// round r+1 -- is handled by stamping the informing round and gating
+/// sends on informed_at < r.  kFaulty adds §2's faults (sim::CallFaults):
+/// crashed nodes never send, and each send's loss coin is drawn in the
+/// engine's send order (ascending sender, then child index).  Counters and
+/// the informed/payload state are bit-identical to the Network path
+/// (pinned by the golden determinism tests); no node RNG is ever drawn by
+/// either path.
+template <bool kFaulty>
 BroadcastResult run_broadcast_flat(const Forest& forest, std::span<const double> payload,
                                    std::uint32_t n, bool simultaneous,
-                                   std::uint32_t max_rounds) {
+                                   std::uint32_t max_rounds, sim::CallFaults& faults) {
   BcProtocol proto{forest, payload, n, simultaneous};
   std::vector<std::uint32_t> informed_at(n, 0);  // roots: round 0 (pre-informed)
+  if constexpr (kFaulty) {
+    std::erase_if(proto.active, [&faults](NodeId v) { return faults.crashed(v); });
+  }
 
   sim::Counters counters;
   std::uint32_t rounds = 0;
@@ -151,6 +158,14 @@ BroadcastResult run_broadcast_flat(const Forest& forest, std::span<const double>
       const std::uint64_t base = forest.child_offset(v);
       auto inform = [&](std::size_t i) {
         const NodeId c = children[i];
+        if constexpr (kFaulty) {
+          if (faults.lost(c)) {
+            counters.sent += 1;
+            counters.lost += 1;
+            counters.bits += proto.value_bits;
+            return;
+          }
+        }
         // kValue out, child informed, 1-bit ack back -- all this round.
         counters.sent += 2;
         counters.delivered += 2;
@@ -211,11 +226,17 @@ BroadcastResult run_broadcast(const Forest& forest, std::span<const double> payl
                      ? 8 * (forest.max_tree_height() + 2) + 64
                      : 8 * (forest.max_tree_size() + 2) + 64;
   }
-  if (scenario.faults.fault_free())
-    return run_broadcast_flat(forest, payload, n, config.simultaneous_children,
-                              max_rounds);
+  const std::uint64_t purpose = derive_seed(0xbc, config.stream_tag);
+  if (scenario.faults.paper_model()) {
+    sim::CallFaults faults{n, rngs, scenario, purpose};
+    return faults.active()
+               ? run_broadcast_flat<true>(forest, payload, n, config.simultaneous_children,
+                                          max_rounds, faults)
+               : run_broadcast_flat<false>(forest, payload, n, config.simultaneous_children,
+                                           max_rounds, faults);
+  }
 
-  sim::Network<BcMsg> net{n, rngs, scenario, derive_seed(0xbc, config.stream_tag)};
+  sim::Network<BcMsg> net{n, rngs, scenario, purpose};
   BcProtocol proto{forest, payload, n, config.simultaneous_children};
 
   const std::uint32_t rounds = net.run(proto, max_rounds);

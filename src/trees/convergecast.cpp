@@ -51,20 +51,28 @@ ConvergecastResult collect(const OpProtocol& proto, sim::Counters counters,
   return result;
 }
 
-/// Flat fault-free executor.  Each ready node's value reaches its parent
-/// (and is acked) within its own round, so the round resolves inline.
-/// The ordering hazard -- a parent whose last child reports in round r
-/// must not push upward until round r+1 (the engine runs all upcalls
-/// before any delivery) -- is handled by stamping ready_at when
-/// pending_children hits zero.  A parent absorbing inline is safe in
-/// either id order: a parent still waiting on children never sends in
-/// that same round, so no same-round send can observe the absorption
+/// Flat executor.  Each ready node's value reaches its parent (and is
+/// acked) within its own round, or is lost and resent the next round, so
+/// the round resolves inline.  The ordering hazard -- a parent whose last
+/// child reports in round r must not push upward until round r+1 (the
+/// engine runs all upcalls before any delivery) -- is handled by stamping
+/// ready_at when pending_children hits zero.  A parent absorbing inline is
+/// safe in either id order: a parent still waiting on children never sends
+/// in that same round, so no same-round send can observe the absorption
 /// early.  Per-parent absorption order is the ascending-child send order
-/// the engine produces, keeping the IEEE-754 sums bit-identical (pinned
-/// by the golden determinism tests); no RNG is ever drawn by either path.
-ConvergecastResult run_convergecast_flat(OpProtocol& proto, std::uint32_t max_rounds) {
+/// the engine produces, keeping the IEEE-754 sums bit-identical (pinned by
+/// the golden determinism tests).  kFaulty adds §2's faults
+/// (sim::CallFaults): crashed nodes never send, and each send's loss coin
+/// is drawn in that same ascending order.  Without latency an absorbed
+/// value is always acked in its round, so no duplicate ever arrives.
+template <bool kFaulty>
+ConvergecastResult run_convergecast_flat(OpProtocol& proto, std::uint32_t max_rounds,
+                                         sim::CallFaults& faults) {
   const Forest& forest = proto.forest;
   std::vector<std::uint32_t> ready_at(forest.size(), 0);  // leaves: ready from round 0
+  if constexpr (kFaulty) {
+    std::erase_if(proto.active, [&faults](NodeId v) { return faults.crashed(v); });
+  }
 
   sim::Counters counters;
   std::uint32_t rounds = 0;
@@ -77,6 +85,14 @@ ConvergecastResult run_convergecast_flat(OpProtocol& proto, std::uint32_t max_ro
       if (s.sent_up || s.pending_children > 0 || ready_at[v] > r) continue;
       // Value up, absorbed at the parent, 1-bit ack back -- all this round.
       const NodeId p = forest.parent(v);
+      if constexpr (kFaulty) {
+        if (faults.lost(p)) {
+          counters.sent += 1;
+          counters.lost += 1;
+          counters.bits += proto.value_bits;
+          continue;
+        }
+      }
       counters.sent += 2;
       counters.delivered += 2;
       counters.bits += proto.value_bits + 1;
@@ -110,9 +126,14 @@ ConvergecastResult run_convergecast(const Forest& forest, std::span<const double
       config.max_rounds != 0 ? config.max_rounds : convergecast_round_budget(forest);
   OpProtocol proto{forest, OpFold{op}, 64 + address_bits(n),
                    [values](NodeId v) { return CcPair{values[v], 1.0}; }};
-  if (scenario.faults.fault_free()) return run_convergecast_flat(proto, max_rounds);
+  const std::uint64_t purpose = derive_seed(0xcc, config.stream_tag);
+  if (scenario.faults.paper_model()) {
+    sim::CallFaults faults{n, rngs, scenario, purpose};
+    return faults.active() ? run_convergecast_flat<true>(proto, max_rounds, faults)
+                           : run_convergecast_flat<false>(proto, max_rounds, faults);
+  }
 
-  sim::Network<OpProtocol::Msg> net{n, rngs, scenario, derive_seed(0xcc, config.stream_tag)};
+  sim::Network<OpProtocol::Msg> net{n, rngs, scenario, purpose};
   const std::uint32_t rounds = net.run(proto, max_rounds);
   return collect(proto, net.counters(), rounds);
 }

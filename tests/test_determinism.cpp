@@ -8,8 +8,9 @@
 // are required to be *observationally invisible*.  Two families:
 //
 //   * kPreRewriteGoldens -- bit-identical to the pre-rewrite binary (all
-//     complete-topology runs, plus every faulty run, which exercises the
-//     generic engine path);
+//     complete-topology runs, plus every faulty run; the loss/crash-only
+//     ones now run on the flat executors, the churn one on the generic
+//     engine path);
 //   * kExplicitTopologyGoldens -- pinned at the introduction of the
 //     Phase III member relay + diameter-scaled budget (that feature
 //     deliberately changed explicit-substrate traffic); they guard the
@@ -28,6 +29,7 @@
 #include <bit>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -37,6 +39,8 @@
 #include "rootgossip/gossip_max.hpp"
 #include "rootgossip/ordered_key.hpp"
 #include "support/parallel.hpp"
+#include "trees/broadcast.hpp"
+#include "trees/convergecast.hpp"
 
 namespace drrg {
 namespace {
@@ -237,32 +241,26 @@ TEST(GoldenDeterminism, ShardedEngineIsIntraThreadInvariant) {
   }
 }
 
-// The flat fault-free executors (run_drr_flat, run_convergecast_flat,
-// run_broadcast_flat and Phase III's run_flat_root_gossip) must agree
-// with the generic engine path byte for byte.  A vanishing loss
-// probability forces the engine path (fault_free() is false) while
-// leaving every delivery intact -- the loss stream feeds nothing else --
-// so the pair must hash equal on every substrate.
-TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
-  for (const sim::TopologyKind kind :
-       {sim::TopologyKind::kComplete, sim::TopologyKind::kChordRing,
-        sim::TopologyKind::kRandomRegular, sim::TopologyKind::kGrid2d}) {
-    for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
-      api::RunSpec flat = spec_of(256, agg, 97);
-      flat.topology.kind = kind;
-      api::RunSpec engine = flat;
-      engine.faults.loss_prob = 1e-300;  // engine path, zero effective loss
-      const api::RunReport a = api::run("drr", flat);
-      const api::RunReport b = api::run("drr", engine);
-      EXPECT_EQ(a.value, b.value) << sim::to_string(kind);
-      EXPECT_EQ(a.consensus, b.consensus) << sim::to_string(kind);
-      EXPECT_EQ(a.rounds, b.rounds) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.sent, b.cost.sent) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.delivered, b.cost.delivered) << sim::to_string(kind);
-      EXPECT_EQ(a.cost.bits, b.cost.bits) << sim::to_string(kind);
-      EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << sim::to_string(kind);
-    }
-  }
+// The flat executors (run_drr_flat, run_convergecast_flat,
+// run_broadcast_flat and Phase III's run_flat_root_gossip) must agree with
+// the generic engine path field for field, fault-free and under the
+// paper's fault model alike.  A churn event far past every run's horizon
+// forces the engine path (the schedule leaves paper_model()) without
+// changing anything observable: it never fires, and its victims are drawn
+// after the round-0 crash set, which stays the same.
+sim::FaultSchedule engine_forcing(sim::FaultSchedule faults) {
+  faults.churn.push_back({1000000, 0.5});
+  return faults;
+}
+
+constexpr double kLosses[] = {0.0, 0.1, 0.3};
+constexpr double kCrashes[] = {0.0, 0.05, 0.3};
+constexpr sim::TopologyKind kKinds[] = {
+    sim::TopologyKind::kComplete, sim::TopologyKind::kGrid2d,
+    sim::TopologyKind::kChordRing, sim::TopologyKind::kRandomRegular};
+
+std::string fault_label(double loss, double crash) {
+  return "loss " + std::to_string(loss) + " crash " + std::to_string(crash);
 }
 
 std::vector<std::uint64_t> bit_patterns(const std::vector<double>& xs) {
@@ -281,70 +279,301 @@ void expect_same_counters(const sim::Counters& a, const sim::Counters& b,
   EXPECT_EQ(a.rounds, b.rounds) << what;
 }
 
+void expect_same_forest(const Forest& a, const Forest& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (NodeId v = 0; v < a.size(); ++v) {
+    ASSERT_EQ(a.is_member(v), b.is_member(v)) << what << " node " << v;
+    ASSERT_EQ(a.parent(v), b.parent(v)) << what << " node " << v;
+  }
+}
+
+// Field by field, not report_checksum: extrema's report stores its
+// participation mask empty without churn and all-true with it, so the
+// mask is compared only where the pipeline derives it from the forest.
+void expect_same_report(const api::RunReport& a, const api::RunReport& b,
+                        const std::string& what, bool compare_participating) {
+  ASSERT_TRUE(a.ok()) << what << ": " << a.error;
+  ASSERT_TRUE(b.ok()) << what << ": " << b.error;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.value), std::bit_cast<std::uint64_t>(b.value))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.truth), std::bit_cast<std::uint64_t>(b.truth))
+      << what;
+  EXPECT_EQ(a.consensus, b.consensus) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  expect_same_counters(a.cost, b.cost, what + " cost");
+  expect_same_counters(a.phases.drr, b.phases.drr, what + " drr");
+  expect_same_counters(a.phases.convergecast, b.phases.convergecast, what + " convergecast");
+  expect_same_counters(a.phases.root_broadcast, b.phases.root_broadcast,
+                       what + " root broadcast");
+  expect_same_counters(a.phases.gossip, b.phases.gossip, what + " gossip");
+  expect_same_counters(a.phases.spread, b.phases.spread, what + " spread");
+  expect_same_counters(a.phases.value_broadcast, b.phases.value_broadcast,
+                       what + " value broadcast");
+  EXPECT_EQ(a.forest.num_trees, b.forest.num_trees) << what;
+  EXPECT_EQ(a.forest.max_tree_size, b.forest.max_tree_size) << what;
+  EXPECT_EQ(a.forest.max_tree_height, b.forest.max_tree_height) << what;
+  EXPECT_EQ(a.forest.largest_tree_root, b.forest.largest_tree_root) << what;
+  if (compare_participating) {
+    EXPECT_EQ(a.participating, b.participating) << what;
+  }
+}
+
+// Whole pipelines through the facade: dense DRR-gossip on every
+// substrate, the sparse pipeline on the explicit ones, chord-drr and
+// extrema (whose Phase I is run_drr), each under loss x crash.
+TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
+  struct Row {
+    const char* algo;
+    api::Pipeline pipeline;
+    sim::TopologyKind kind;
+    api::Aggregate agg;
+  };
+  std::vector<Row> rows;
+  for (const sim::TopologyKind kind : kKinds) {
+    for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
+      rows.push_back({"drr", api::Pipeline::kDense, kind, agg});
+      if (kind != sim::TopologyKind::kComplete)
+        rows.push_back({"drr", api::Pipeline::kSparse, kind, agg});
+    }
+    for (const api::Aggregate agg : {api::Aggregate::kCount, api::Aggregate::kSum})
+      rows.push_back({"extrema", api::Pipeline::kDense, kind, agg});
+  }
+  for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax})
+    rows.push_back({"chord-drr", api::Pipeline::kDense, sim::TopologyKind::kComplete, agg});
+
+  for (const Row& row : rows) {
+    for (const double loss : kLosses) {
+      for (const double crash : kCrashes) {
+        api::RunSpec flat = spec_of(256, row.agg, 97);
+        flat.topology.kind = row.kind;
+        flat.pipeline = row.pipeline;
+        flat.faults = sim::FaultSchedule{loss, crash};
+        api::RunSpec engine = flat;
+        engine.faults = engine_forcing(flat.faults);
+        const std::string what = std::string{row.algo} + " " +
+                                 std::string{api::to_string(row.pipeline)} + " " +
+                                 std::string{sim::to_string(row.kind)} + " " +
+                                 std::string{api::to_string(row.agg)} + " " +
+                                 fault_label(loss, crash);
+        expect_same_report(api::run(row.algo, flat), api::run(row.algo, engine), what,
+                           /*compare_participating=*/std::string_view{row.algo} != "extrema");
+      }
+    }
+  }
+}
+
 // Phase III's flat executor, called directly: gossip-max, data-spread
 // and push-sum (Ave and the one-hot Sum/Count denominator) on the flat
-// path and on the engine path forced by 1e-300 loss must agree bit for
-// bit -- keys, the post-gossip snapshot, (num, den) and every counter --
-// with and without the member relay, at two round budgets and two
-// stream tags.
+// path and on the engine path must agree bit for bit -- keys, the
+// post-gossip snapshot, (num, den) and every counter -- under loss x
+// crash on every substrate, with and without the member relay, at two
+// round budgets and two stream tags.  The forest is Phase I's under the
+// same schedule (crashed nodes are non-members), and the flat and
+// engine Phase I must agree on it too.
 TEST(GoldenDeterminism, FlatRootGossipMatchesEnginePath) {
   const std::uint32_t n = 256;
-  for (const sim::TopologyKind kind : {sim::TopologyKind::kComplete, sim::TopologyKind::kGrid2d}) {
+  const RngFactory rngs{31};
+  for (const sim::TopologyKind kind : kKinds) {
     const sim::Topology topology = sim::make_topology({kind}, n, 5);
-    const sim::Scenario flat{topology, {}};
-    const sim::Scenario engine{topology, sim::FaultSchedule{1e-300, 0.0}};
-    const RngFactory rngs{31};
-    const DrrResult drr = run_drr(n, rngs, flat);
-    const Forest& forest = drr.forest;
+    for (const double loss : kLosses) {
+      for (const double crash : kCrashes) {
+        const sim::Scenario flat{topology, sim::FaultSchedule{loss, crash}};
+        const sim::Scenario engine{topology, engine_forcing(flat.faults)};
+        const std::string where =
+            std::string{sim::to_string(kind)} + " " + fault_label(loss, crash);
+        const DrrResult drr = run_drr(n, rngs, flat);
+        const DrrResult drr_engine = run_drr(n, rngs, engine);
+        expect_same_forest(drr.forest, drr_engine.forest, "drr " + where);
+        EXPECT_EQ(bit_patterns(drr.ranks), bit_patterns(drr_engine.ranks)) << where;
+        expect_same_counters(drr.counters, drr_engine.counters, "drr " + where);
+        const Forest& forest = drr.forest;
 
-    Rng vr{17};
-    std::vector<std::uint64_t> keys(n, kKeyBottom);
-    std::vector<double> num0(n, 0.0), den_ave(n, 0.0), den_one_hot(n, 0.0);
-    for (const NodeId r : forest.roots()) {
-      keys[r] = encode_ordered(vr.next_uniform(-50, 50));
-      num0[r] = vr.next_uniform(-50, 50);
-      den_ave[r] = static_cast<double>(forest.tree_size(r));
-    }
-    den_one_hot[forest.largest_tree_root()] = 1.0;
+        Rng vr{17};
+        std::vector<std::uint64_t> keys(n, kKeyBottom);
+        std::vector<double> num0(n, 0.0), den_ave(n, 0.0), den_one_hot(n, 0.0);
+        for (const NodeId r : forest.roots()) {
+          keys[r] = encode_ordered(vr.next_uniform(-50, 50));
+          num0[r] = vr.next_uniform(-50, 50);
+          den_ave[r] = static_cast<double>(forest.tree_size(r));
+        }
+        den_one_hot[forest.largest_tree_root()] = 1.0;
 
-    for (const bool relay : {true, false}) {
-      for (const double scale : {1.0, 2.5}) {
-        for (const std::uint64_t tag : {0ULL, 9ULL}) {
-          const std::string what = std::string{sim::to_string(kind)} + " relay " +
-                                   std::to_string(relay) + " scale " +
-                                   std::to_string(scale) + " tag " + std::to_string(tag);
-          GossipMaxConfig gm;
-          gm.member_relay = relay;
-          gm.round_budget_scale = scale;
-          gm.stream_tag = tag;
-          const GossipMaxResult ga = run_gossip_max(forest, keys, rngs, flat, gm);
-          const GossipMaxResult gb = run_gossip_max(forest, keys, rngs, engine, gm);
-          EXPECT_EQ(ga.key, gb.key) << what;
-          EXPECT_EQ(ga.key_after_gossip, gb.key_after_gossip) << what;
-          EXPECT_EQ(ga.rounds, gb.rounds) << what;
-          expect_same_counters(ga.counters, gb.counters, "gossip-max " + what);
+        for (const bool relay : {true, false}) {
+          for (const double scale : {1.0, 2.5}) {
+            for (const std::uint64_t tag : {0ULL, 9ULL}) {
+              const std::string what = where + " relay " + std::to_string(relay) +
+                                       " scale " + std::to_string(scale) + " tag " +
+                                       std::to_string(tag);
+              GossipMaxConfig gm;
+              gm.member_relay = relay;
+              gm.round_budget_scale = scale;
+              gm.stream_tag = tag;
+              const GossipMaxResult ga = run_gossip_max(forest, keys, rngs, flat, gm);
+              const GossipMaxResult gb = run_gossip_max(forest, keys, rngs, engine, gm);
+              EXPECT_EQ(ga.key, gb.key) << what;
+              EXPECT_EQ(ga.key_after_gossip, gb.key_after_gossip) << what;
+              EXPECT_EQ(ga.rounds, gb.rounds) << what;
+              expect_same_counters(ga.counters, gb.counters, "gossip-max " + what);
 
-          const NodeId source = forest.largest_tree_root();
-          const GossipMaxResult sa = run_data_spread(forest, source, 42, rngs, flat, gm);
-          const GossipMaxResult sb = run_data_spread(forest, source, 42, rngs, engine, gm);
-          EXPECT_EQ(sa.key, sb.key) << what;
-          EXPECT_EQ(sa.key_after_gossip, sb.key_after_gossip) << what;
-          expect_same_counters(sa.counters, sb.counters, "data-spread " + what);
+              const NodeId source = forest.largest_tree_root();
+              const GossipMaxResult sa = run_data_spread(forest, source, 42, rngs, flat, gm);
+              const GossipMaxResult sb = run_data_spread(forest, source, 42, rngs, engine, gm);
+              EXPECT_EQ(sa.key, sb.key) << what;
+              EXPECT_EQ(sa.key_after_gossip, sb.key_after_gossip) << what;
+              expect_same_counters(sa.counters, sb.counters, "data-spread " + what);
 
-          PushSumConfig ps;
-          ps.member_relay = relay;
-          ps.round_budget_scale = scale;
-          ps.stream_tag = tag;
-          for (const std::vector<double>* den0 : {&den_ave, &den_one_hot}) {
-            const PushSumResult pa = run_root_push_sum(forest, num0, *den0, rngs, flat, ps);
-            const PushSumResult pb = run_root_push_sum(forest, num0, *den0, rngs, engine, ps);
-            EXPECT_EQ(bit_patterns(pa.num), bit_patterns(pb.num)) << what;
-            EXPECT_EQ(bit_patterns(pa.den), bit_patterns(pb.den)) << what;
-            EXPECT_EQ(bit_patterns(pa.estimate), bit_patterns(pb.estimate)) << what;
-            EXPECT_EQ(pa.rounds, pb.rounds) << what;
-            expect_same_counters(pa.counters, pb.counters, "push-sum " + what);
+              PushSumConfig ps;
+              ps.member_relay = relay;
+              ps.round_budget_scale = scale;
+              ps.stream_tag = tag;
+              for (const std::vector<double>* den0 : {&den_ave, &den_one_hot}) {
+                const PushSumResult pa = run_root_push_sum(forest, num0, *den0, rngs, flat, ps);
+                const PushSumResult pb =
+                    run_root_push_sum(forest, num0, *den0, rngs, engine, ps);
+                EXPECT_EQ(bit_patterns(pa.num), bit_patterns(pb.num)) << what;
+                EXPECT_EQ(bit_patterns(pa.den), bit_patterns(pb.den)) << what;
+                EXPECT_EQ(bit_patterns(pa.estimate), bit_patterns(pb.estimate)) << what;
+                EXPECT_EQ(pa.rounds, pb.rounds) << what;
+                expect_same_counters(pa.counters, pb.counters, "push-sum " + what);
+              }
+            }
           }
         }
+      }
+    }
+  }
+}
+
+// Edge branch: under heavy loss a connect retried connect_attempt_cap
+// times gives up and its node becomes a root by exhaustion.
+TEST(GoldenDeterminism, FlatDrrMatchesEngineOnConnectExhaustion) {
+  const std::uint32_t n = 512;
+  const RngFactory rngs{7};
+  for (const sim::TopologyKind kind : {sim::TopologyKind::kComplete, sim::TopologyKind::kGrid2d}) {
+    const sim::Topology topology = sim::make_topology({kind}, n, 3);
+    for (const double crash : kCrashes) {
+      const sim::Scenario flat{topology, sim::FaultSchedule{0.6, crash}};
+      const sim::Scenario engine{topology, engine_forcing(flat.faults)};
+      const std::string what = std::string{sim::to_string(kind)} + " " + fault_label(0.6, crash);
+      DrrConfig capped;
+      capped.connect_attempt_cap = 2;
+      const DrrResult a = run_drr(n, rngs, flat, capped);
+      const DrrResult b = run_drr(n, rngs, engine, capped);
+      expect_same_forest(a.forest, b.forest, what);
+      EXPECT_EQ(bit_patterns(a.ranks), bit_patterns(b.ranks)) << what;
+      expect_same_counters(a.counters, b.counters, what);
+      EXPECT_EQ(a.total_probes, b.total_probes) << what;
+      EXPECT_EQ(a.rounds, b.rounds) << what;
+      // The cap bites: more roots than the default cap leaves.
+      EXPECT_GT(a.forest.num_trees(), run_drr(n, rngs, flat).forest.num_trees()) << what;
+    }
+  }
+}
+
+void expect_same_phase2(const Forest& forest, const RngFactory& rngs,
+                        const sim::Scenario& flat, const std::string& where) {
+  const sim::Scenario engine{flat.topology, engine_forcing(flat.faults)};
+  const std::uint32_t n = forest.size();
+  std::vector<double> values(n);
+  Rng vr{23};
+  for (double& x : values) x = vr.next_uniform(-10, 10);
+  for (const ConvergecastOp op :
+       {ConvergecastOp::kMax, ConvergecastOp::kMin, ConvergecastOp::kSum}) {
+    const std::string what = where + " op " + std::to_string(static_cast<int>(op));
+    const ConvergecastResult a = run_convergecast(forest, values, op, rngs, flat);
+    const ConvergecastResult b = run_convergecast(forest, values, op, rngs, engine);
+    EXPECT_EQ(bit_patterns(a.aggregate), bit_patterns(b.aggregate)) << what;
+    EXPECT_EQ(bit_patterns(a.weight), bit_patterns(b.weight)) << what;
+    EXPECT_EQ(a.rounds, b.rounds) << what;
+    EXPECT_EQ(a.complete, b.complete) << what;
+    expect_same_counters(a.counters, b.counters, "convergecast " + what);
+  }
+  for (const bool simultaneous : {false, true}) {
+    const std::string what = where + " simultaneous " + std::to_string(simultaneous);
+    BroadcastConfig bc;
+    bc.simultaneous_children = simultaneous;
+    const BroadcastResult a = run_broadcast(forest, values, rngs, flat, bc);
+    const BroadcastResult b = run_broadcast(forest, values, rngs, engine, bc);
+    EXPECT_EQ(bit_patterns(a.received), bit_patterns(b.received)) << what;
+    EXPECT_EQ(a.informed, b.informed) << what;
+    EXPECT_EQ(a.rounds, b.rounds) << what;
+    EXPECT_EQ(a.complete, b.complete) << what;
+    expect_same_counters(a.counters, b.counters, "broadcast " + what);
+  }
+}
+
+// Edge branches of Phase II, called directly: convergecast (every op) and
+// broadcast with simultaneous_children on and off, on Phase I's forest
+// under the same schedule.
+TEST(GoldenDeterminism, FlatTreeProtocolsMatchEnginePath) {
+  const std::uint32_t n = 256;
+  const RngFactory rngs{41};
+  for (const sim::TopologyKind kind : kKinds) {
+    const sim::Topology topology = sim::make_topology({kind}, n, 5);
+    for (const double loss : kLosses) {
+      for (const double crash : kCrashes) {
+        const sim::Scenario flat{topology, sim::FaultSchedule{loss, crash}};
+        const DrrResult drr = run_drr(n, rngs, flat);
+        expect_same_phase2(drr.forest, rngs, flat,
+                           std::string{sim::to_string(kind)} + " " + fault_label(loss, crash));
+      }
+    }
+  }
+}
+
+void expect_same_phase3(const Forest& forest, const RngFactory& rngs,
+                        const sim::Scenario& flat, const std::string& what) {
+  const sim::Scenario engine{flat.topology, engine_forcing(flat.faults)};
+  const std::uint32_t n = forest.size();
+  std::vector<std::uint64_t> keys(n, kKeyBottom);
+  std::vector<double> num0(n, 0.0), den0(n, 0.0);
+  Rng vr{19};
+  for (const NodeId r : forest.roots()) {
+    keys[r] = encode_ordered(vr.next_uniform(-50, 50));
+    num0[r] = vr.next_uniform(-50, 50);
+    den0[r] = static_cast<double>(forest.tree_size(r));
+  }
+  const GossipMaxResult ga = run_gossip_max(forest, keys, rngs, flat);
+  const GossipMaxResult gb = run_gossip_max(forest, keys, rngs, engine);
+  EXPECT_EQ(ga.key, gb.key) << what;
+  EXPECT_EQ(ga.key_after_gossip, gb.key_after_gossip) << what;
+  expect_same_counters(ga.counters, gb.counters, "gossip-max " + what);
+  const PushSumResult pa = run_root_push_sum(forest, num0, den0, rngs, flat);
+  const PushSumResult pb = run_root_push_sum(forest, num0, den0, rngs, engine);
+  EXPECT_EQ(bit_patterns(pa.num), bit_patterns(pb.num)) << what;
+  EXPECT_EQ(bit_patterns(pa.den), bit_patterns(pb.den)) << what;
+  expect_same_counters(pa.counters, pb.counters, "push-sum " + what);
+}
+
+// Edge branches: the crash set comes from the schedule, not from forest
+// membership.  A forest built fault-free and run under crash 0.3 keeps
+// its crashed members -- roots among them -- in the trees: they never
+// call, and every call to them is lost without a coin.  Conversely, a
+// forest built under crash 0.3 and run under loss alone has live
+// non-members, where calls are delivered and die unacknowledged.
+TEST(GoldenDeterminism, FlatExecutorsMatchEngineWhenForestAndCrashSetDiffer) {
+  const std::uint32_t n = 256;
+  const RngFactory rngs{53};
+  for (const sim::TopologyKind kind : {sim::TopologyKind::kComplete, sim::TopologyKind::kGrid2d}) {
+    const sim::Topology topology = sim::make_topology({kind}, n, 5);
+    const Forest whole = run_drr(n, rngs, sim::Scenario{topology, {}}).forest;
+    const Forest survivors =
+        run_drr(n, rngs, sim::Scenario{topology, sim::FaultSchedule{0.0, 0.3}}).forest;
+    const std::vector<bool> crashed = sim::crash_mask(n, rngs, 0.3);
+    std::size_t crashed_roots = 0;
+    for (const NodeId r : whole.roots()) crashed_roots += crashed[r] ? 1 : 0;
+    ASSERT_GT(crashed_roots, 0U);
+    for (const double loss : kLosses) {
+      const sim::Scenario crashing{topology, sim::FaultSchedule{loss, 0.3}};
+      const std::string what = std::string{sim::to_string(kind)} + " " + fault_label(loss, 0.3);
+      expect_same_phase2(whole, rngs, crashing, "crashed members " + what);
+      expect_same_phase3(whole, rngs, crashing, "crashed members " + what);
+      if (loss > 0.0) {
+        const sim::Scenario lossy{topology, sim::FaultSchedule{loss, 0.0}};
+        const std::string live = "live non-members " + std::string{sim::to_string(kind)} +
+                                 " " + fault_label(loss, 0.0);
+        expect_same_phase2(survivors, rngs, lossy, live);
+        expect_same_phase3(survivors, rngs, lossy, live);
       }
     }
   }

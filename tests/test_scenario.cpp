@@ -261,9 +261,10 @@ TEST(ScenarioRuns, ChordDrrSurvivesTheFullCombinedSchedule) {
 // 3e-3 of truth -- the outcome contract the engine path must preserve.
 // The two paths cannot be message-identical (the replay map drew loss
 // coins per logical send, the engine draws per hop), so the outcome, not
-// the traffic, is the pin.  The 1e-300-loss half forces the lossy engine
-// code path (coins drawn, none fire) and must reproduce the loss-free
-// run byte for byte, proving the loss machinery itself perturbs nothing.
+// the traffic, is the pin.  The 1e-300-loss half forces the lossy code
+// paths -- the engine's and the flat Phase II executors' (coins drawn,
+// none fire) -- and must reproduce the loss-free run byte for byte,
+// proving the loss machinery itself perturbs nothing.
 TEST(ScenarioRuns, ChordDrrEnginePathKeepsRoutedTransportSemantics) {
   for (const api::Aggregate agg : {api::Aggregate::kMax, api::Aggregate::kAve}) {
     api::RunSpec spec = scenario_spec(512, agg);
@@ -278,7 +279,7 @@ TEST(ScenarioRuns, ChordDrrEnginePathKeepsRoutedTransportSemantics) {
     }
 
     api::RunSpec lossy = spec;
-    lossy.faults.loss_prob = 1e-300;  // engine loss path, zero effective loss
+    lossy.faults.loss_prob = 1e-300;  // lossy paths, zero effective loss
     EXPECT_EQ(api::report_checksum(api::run("chord-drr", lossy)),
               api::report_checksum(r))
         << api::to_string(agg);

@@ -13,12 +13,13 @@ goldens (tests/golden/bench_table1_ops.json) on two axes:
     bit must stay true.  This is the byte-identity pin for the whole
     dense + sparse pipeline output, guarding e.g. transport refactors.
   * engine_micro allocs_per_run, for the routed cases (BM_EngineChordDrr,
-    BM_EngineDrrSparseGrid) and the per-seed Chord substrate build
-    (BM_ChordSubstrateBuild): the flattened routed hot path and the flat
-    overlay + link-graph builders hold heap traffic O(1) in n, so a
-    fresh count more than 10% above the golden is a hard failure, as is
-    regained O(n) growth (the n=16384 count exceeding twice the n=1024
-    count).
+    BM_EngineDrrSparseGrid), the dense pipeline at the paper's fault
+    setting (BM_EngineDrrFaulty) and the per-seed Chord substrate build
+    (BM_ChordSubstrateBuild): the flattened routed hot path, the flat
+    lockstep executors and the flat overlay + link-graph builders hold
+    heap traffic O(1) in n, so a fresh count more than 10% above the
+    golden is a hard failure, as is regained O(n) growth (the n=16384
+    count exceeding twice the n=1024 count).
   * n_sweep rows (single-run scaling family): per (algo, topology, n),
     msgs/(n log2 n) must stay within 20% of the golden ratio -- that
     ratio *is* the paper's O(n log n) message claim, so a drift past
@@ -40,10 +41,12 @@ import sys
 
 
 # Micro cases whose allocation count is a gated contract: the routed hot
-# path (chord-drr on the overlay, drr through the sparse grid pipeline)
-# and the per-seed Chord substrate build (overlay + link graph).
+# path (chord-drr on the overlay, drr through the sparse grid pipeline),
+# the dense pipeline under loss + crashes (every phase on the flat
+# executors) and the per-seed Chord substrate build (overlay + link
+# graph).
 ALLOC_GATED_CASES = ("BM_EngineChordDrr", "BM_EngineDrrSparseGrid",
-                     "BM_ChordSubstrateBuild")
+                     "BM_EngineDrrFaulty", "BM_ChordSubstrateBuild")
 
 
 def golden_rows(path):
