@@ -97,9 +97,7 @@ class LastEntryMemo {
 /// O(1) shared_ptr handles, safe to share across the trial executor.
 [[nodiscard]] sim::Scenario make_scenario(const RunSpec& spec) {
   if (spec.topology.is_complete()) {
-    sim::Scenario s{sim::Topology::complete_of(spec.n), spec.faults};
-    s.intra_threads = spec.intra_threads;
-    return s;
+    return sim::Scenario{sim::Topology::complete_of(spec.n), spec.faults};
   }
   const std::uint64_t seed = derive_seed(spec.seed, 0x7090ULL);
   // The sparse pipeline walks real adjacency (substrate_graph), so it
@@ -119,11 +117,9 @@ class LastEntryMemo {
   const Key key{topo_spec.kind, topo_spec.degree, topo_spec.torus, topo_spec.backend,
                 spec.n, randomized ? seed : 0};
   static LastEntryMemo<Key, sim::Topology> memo;
-  sim::Scenario s{memo.get(key, [&] { return sim::make_topology(topo_spec, spec.n, seed); },
-                           [](const sim::Topology&) { return true; }),
-                  spec.faults};
-  s.intra_threads = spec.intra_threads;
-  return s;
+  return sim::Scenario{memo.get(key, [&] { return sim::make_topology(topo_spec, spec.n, seed); },
+                                [](const sim::Topology&) { return true; }),
+                       spec.faults};
 }
 
 [[nodiscard]] bool has_crashes(const RunSpec& spec) {

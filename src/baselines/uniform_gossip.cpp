@@ -21,11 +21,6 @@ struct MaxMsg {
 };
 
 struct PushMaxProtocol {
-  /// Engine contract: on_round touches only value[v] + v's stream; the
-  /// handlers touch only value[dst] (+ a reply on the established call).
-  /// No shared mutable state, so intra-round sharding is sound.
-  static constexpr bool kShardable = true;
-
   std::vector<double> value;
   std::uint32_t value_bits;
   bool pull = false;  // push-pull: the callee replies with its own maximum
@@ -112,11 +107,6 @@ struct SumMsg {
 };
 
 struct PushSumAllProtocol {
-  /// on_round halves (s, w) of v only; on_message accumulates into dst
-  /// only.  No shared mutable state, so intra-round sharding is sound.
-  /// (KarpProtocol's shared transmissions tally keeps it serial.)
-  static constexpr bool kShardable = true;
-
   std::vector<double> s;
   std::vector<double> w;
   std::uint32_t pair_bits;

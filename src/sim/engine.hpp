@@ -71,24 +71,11 @@
 // Per-node streams are constructed lazily (first use), which is invisible:
 // stream state is a pure function of (root seed, node, purpose).
 //
-// Intra-round sharding: a protocol may declare
-//
-//   static constexpr bool kShardable = true;
-//
-// promising that on_round(v)/on_round_end(v) touch only v-local state (plus
-// node_rng(v)/sample_peer(v)/send) and on_message/on_reply touch only
-// dst-local state (plus reply/send/node_rng(dst)) -- no shared mutable
-// counters, no cross-node writes.  Under that contract, when
-// Scenario::intra_threads asks for more than one worker (and no latency
-// model is active), the engine shards the per-round upcall scan into
-// contiguous node ranges and the delivery batch into contiguous dst ranges
-// across the support/parallel.hpp pool.  Every emission lands in a
-// per-shard queue and is merged back in node-index (scan) or
-// send-order (delivery) sequence, and the loss coins are pre-drawn
-// serially, so the observable behavior -- every counter, every RNG stream,
-// every delivery order -- is byte-identical to the serial scan at any
-// worker count.  Protocols with shared mutable state (Karp's transmission
-// tally) simply do not opt in and always run serially.
+// The round loop is serial: one upcall scan, then one handler dispatch per
+// delivery batch, on the calling thread.  Parallelism lives one level up,
+// across whole runs (api::run_trials, the median bracket): sharding the
+// loop itself across threads measured slower than this loop below 2^22
+// nodes (README, "Scaling to millions of nodes").
 //
 // Hot-path notes: the delivery queues are pooled (capacity survives across
 // rounds, so steady-state rounds allocate nothing), the crash flags are a
@@ -103,7 +90,6 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -111,7 +97,6 @@
 #include "sim/counters.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace drrg::sim {
@@ -137,10 +122,6 @@ class Network {
     assert(scenario_.topology.is_complete() || scenario_.topology.size() == n);
     node_rngs_.resize(n);  // lazily seeded on first use (flags below)
     rng_seeded_.assign(n, 0);
-    const std::uint32_t req = scenario_.intra_threads;
-    const std::uint32_t budget =
-        req == 0 ? std::max(1u, std::thread::hardware_concurrency()) : req;
-    shard_workers_ = (budget > 1 && !latency_on_) ? budget : 1;
     const FaultTimeline timeline = full_timeline(n, rngs, scenario_.faults);
     crashed_.assign(n, 0);
     alive_.reserve(n);
@@ -221,17 +202,6 @@ class Network {
   /// payload size for the O(log n + log s) message-size accounting.
   void send(NodeId src, NodeId dst, Msg m, std::uint32_t bits) {
     assert(dst < n_);
-    if (ShardSink* sink = shard_sink_) {
-      // Sharded upcall in flight: emissions land in the worker's private
-      // queue (tagged with the triggering step for the delivery merge)
-      // and are spliced back in serial order afterwards.  Latency is
-      // never active here -- sharding is gated on !latency_on_.
-      sink->sent += 1;
-      sink->bits += bits;
-      sink->sends.push_back(Envelope{src, dst, std::move(m)});
-      sink->send_tags.push_back(shard_tag_);
-      return;
-    }
     counters_.sent += 1;
     counters_.bits += bits;
     if (latency_on_) {
@@ -253,13 +223,6 @@ class Network {
   /// Reliable and delivered in the same round's reply step.
   void reply(NodeId src, NodeId dst, Msg m, std::uint32_t bits) {
     assert(in_delivery_ && "reply() is only valid while handling a delivery");
-    if (ShardSink* sink = shard_sink_) {
-      sink->sent += 1;
-      sink->bits += bits;
-      sink->replies.push_back(Envelope{src, dst, std::move(m)});
-      sink->reply_tags.push_back(shard_tag_);
-      return;
-    }
     counters_.sent += 1;
     counters_.bits += bits;
     replies_.push_back(Envelope{src, dst, std::move(m)});
@@ -289,14 +252,9 @@ class Network {
     ++counters_.rounds;
     const bool check_crash = alive_.size() != n_;  // crash-free fast path
     if constexpr (requires(NodeId v) { proto.on_round(*this, v); }) {
-      const std::span<const NodeId> ups = upcall_set(proto);
-      if (use_sharding<P>(ups.size())) {
-        sharded_upcalls<P, /*RoundEnd=*/false>(proto, ups, check_crash);
-      } else {
-        for (NodeId v : ups) {
-          if (check_crash && crashed_[v]) continue;
-          proto.on_round(*this, v);
-        }
+      for (NodeId v : upcall_set(proto)) {
+        if (check_crash && crashed_[v]) continue;
+        proto.on_round(*this, v);
       }
     }
     if (latency_on_) {
@@ -317,14 +275,9 @@ class Network {
     }
     post_delivery_ = true;
     if constexpr (requires(NodeId v) { proto.on_round_end(*this, v); }) {
-      const std::span<const NodeId> ups = upcall_set(proto);
-      if (use_sharding<P>(ups.size())) {
-        sharded_upcalls<P, /*RoundEnd=*/true>(proto, ups, check_crash);
-      } else {
-        for (NodeId v : ups) {
-          if (check_crash && crashed_[v]) continue;
-          proto.on_round_end(*this, v);
-        }
+      for (NodeId v : upcall_set(proto)) {
+        if (check_crash && crashed_[v]) continue;
+        proto.on_round_end(*this, v);
       }
     }
     post_delivery_ = false;
@@ -337,199 +290,6 @@ class Network {
     NodeId dst;
     Msg msg;
   };
-
-  // --- intra-round sharding (kShardable protocols only) --------------------
-
-  /// Minimum batch (upcall set or delivery queue) worth forking for; below
-  /// it the serial scan wins on thread-spawn overhead alone.
-  static constexpr std::size_t kShardMinBatch = 2048;
-
-  template <class P>
-  static constexpr bool kShardableV = requires { requires P::kShardable; };
-
-  template <class P>
-  [[nodiscard]] bool use_sharding(std::size_t batch) const noexcept {
-    if constexpr (kShardableV<P>) {
-      return shard_workers_ > 1 && batch >= kShardMinBatch;
-    } else {
-      (void)batch;
-      return false;
-    }
-  }
-
-  /// One worker's private emission queue.  Tags record the triggering
-  /// step (envelope index during delivery), so the merge can restore the
-  /// exact serial emission order.
-  struct ShardSink {
-    std::vector<Envelope> sends;
-    std::vector<std::uint32_t> send_tags;
-    std::vector<Envelope> replies;
-    std::vector<std::uint32_t> reply_tags;
-    std::uint64_t sent = 0;
-    std::uint64_t bits = 0;
-
-    void clear() noexcept {
-      sends.clear();
-      send_tags.clear();
-      replies.clear();
-      reply_tags.clear();
-      sent = 0;
-      bits = 0;
-    }
-  };
-
-  /// While a worker runs sharded upcalls, send()/reply() divert into its
-  /// sink.  thread_local (not a member): workers share `this`.  Set/reset
-  /// per task, so pool threads that run several shards stay clean.
-  inline static thread_local ShardSink* shard_sink_ = nullptr;
-  inline static thread_local std::uint32_t shard_tag_ = 0;
-
-  void ensure_shards(std::uint32_t workers) {
-    if (shard_states_.size() < workers) shard_states_.resize(workers);
-    if (shard_buckets_.size() < workers) shard_buckets_.resize(workers);
-  }
-
-  /// Round-scan merge: shards are ascending node ranges, so appending the
-  /// per-shard queues in shard order IS the serial send order.
-  void merge_shards_concat(std::uint32_t workers) {
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      ShardSink& s = shard_states_[w];
-      counters_.sent += s.sent;
-      counters_.bits += s.bits;
-      for (Envelope& e : s.sends) outbox_.push_back(std::move(e));
-      assert(s.replies.empty() && "reply() outside delivery");
-      s.clear();
-    }
-  }
-
-  /// Delivery merge: each shard's tag stream ascends (buckets are scanned
-  /// in envelope-index order) and the streams are disjoint across shards
-  /// (one dst shard owns each envelope), so a cursor merge by tag restores
-  /// the serial emission order exactly.
-  void merge_tagged(std::uint32_t workers, bool sends) {
-    merge_cursors_.assign(workers, 0);
-    std::vector<Envelope>& out = sends ? outbox_ : replies_;
-    for (;;) {
-      std::uint32_t best = workers;
-      std::uint32_t best_tag = 0;
-      for (std::uint32_t w = 0; w < workers; ++w) {
-        ShardSink& s = shard_states_[w];
-        const std::vector<std::uint32_t>& tags = sends ? s.send_tags : s.reply_tags;
-        const std::size_t c = merge_cursors_[w];
-        if (c < tags.size() && (best == workers || tags[c] < best_tag)) {
-          best = w;
-          best_tag = tags[c];
-        }
-      }
-      if (best == workers) break;
-      ShardSink& s = shard_states_[best];
-      std::vector<Envelope>& vec = sends ? s.sends : s.replies;
-      const std::vector<std::uint32_t>& tags = sends ? s.send_tags : s.reply_tags;
-      std::size_t& c = merge_cursors_[best];
-      do {  // consume every emission of this triggering envelope
-        out.push_back(std::move(vec[c]));
-        ++c;
-      } while (c < tags.size() && tags[c] == best_tag);
-    }
-  }
-
-  void merge_shards_by_tag(std::uint32_t workers) {
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      counters_.sent += shard_states_[w].sent;
-      counters_.bits += shard_states_[w].bits;
-    }
-    merge_tagged(workers, /*sends=*/true);
-    merge_tagged(workers, /*sends=*/false);
-    for (std::uint32_t w = 0; w < workers; ++w) shard_states_[w].clear();
-  }
-
-  /// Sharded per-round upcall scan: contiguous index ranges of the upcall
-  /// set, one per worker, emissions merged back in node-index order.
-  template <class P, bool RoundEnd>
-  void sharded_upcalls(P& proto, std::span<const NodeId> ups, bool check_crash) {
-    const std::uint32_t workers = shard_workers_;
-    ensure_shards(workers);
-    const std::size_t count = ups.size();
-    parallel_map(workers, workers, [&](std::size_t w) {
-      ShardSink& sink = shard_states_[w];
-      shard_sink_ = &sink;
-      shard_tag_ = 0;
-      const std::size_t lo = count * w / workers;
-      const std::size_t hi = count * (w + 1) / workers;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const NodeId v = ups[i];
-        if (check_crash && crashed_[v]) continue;
-        if constexpr (RoundEnd) {
-          proto.on_round_end(*this, v);
-        } else {
-          proto.on_round(*this, v);
-        }
-      }
-      shard_sink_ = nullptr;
-      return 0;
-    });
-    merge_shards_concat(workers);
-  }
-
-  /// Sharded delivery.  The drop decisions stay serial -- loss coins must
-  /// come off loss_rng_ in send order, with the crashed/cut short-circuit
-  /// eliding coins exactly as the serial path does -- and survivors are
-  /// bucketed by contiguous dst range so every handler write to dst-local
-  /// state is shard-private.  Workers then run the handlers; their tagged
-  /// emissions merge back into send order.
-  template <class P>
-  void deliver_queue_sharded(P& proto, std::vector<Envelope>& queue, bool lossy,
-                             bool as_reply) {
-    scratch_.swap(queue);
-    in_delivery_ = true;
-    const bool coin = lossy && lossy_run_;
-    const double loss_prob = scenario_.faults.loss_prob;
-    const bool check_crash = alive_.size() != n_;
-    const bool check_cut = partitioned_;
-    const std::uint32_t g = global_round();
-    const std::uint32_t workers = shard_workers_;
-    ensure_shards(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) shard_buckets_[w].clear();
-    const std::uint32_t per = (n_ + workers - 1) / workers;
-    std::uint64_t delivered = 0;
-    std::uint64_t lost = 0;
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      const Envelope& e = scratch_[i];
-      if ((check_crash && crashed_[e.dst]) || (check_cut && cut_now(g, e.src, e.dst)) ||
-          (coin && loss_rng_.next_bernoulli(loss_prob))) {
-        ++lost;
-        continue;
-      }
-      ++delivered;
-      shard_buckets_[e.dst / per].push_back(static_cast<std::uint32_t>(i));
-    }
-    counters_.delivered += delivered;
-    counters_.lost += lost;
-    parallel_map(workers, workers, [&](std::size_t w) {
-      ShardSink& sink = shard_states_[w];
-      shard_sink_ = &sink;
-      for (std::uint32_t idx : shard_buckets_[w]) {
-        shard_tag_ = idx;
-        Envelope& e = scratch_[idx];
-        if (as_reply) {
-          if constexpr (requires { proto.on_reply(*this, e.src, e.dst, e.msg); }) {
-            proto.on_reply(*this, e.src, e.dst, e.msg);
-          } else if constexpr (requires { proto.on_message(*this, e.src, e.dst, e.msg); }) {
-            proto.on_message(*this, e.src, e.dst, e.msg);
-          }
-        } else {
-          if constexpr (requires { proto.on_message(*this, e.src, e.dst, e.msg); }) {
-            proto.on_message(*this, e.src, e.dst, e.msg);
-          }
-        }
-      }
-      shard_sink_ = nullptr;
-      return 0;
-    });
-    merge_shards_by_tag(workers);
-    in_delivery_ = false;
-    scratch_.clear();
-  }
 
   /// The node set scanned for per-round upcalls: the protocol's declared
   /// active set when it has one, the full alive list otherwise.  Both are
@@ -595,10 +355,6 @@ class Network {
 
   template <class P>
   void deliver_queue(P& proto, std::vector<Envelope>& queue, bool lossy, bool as_reply) {
-    if (use_sharding<P>(queue.size())) {
-      deliver_queue_sharded(proto, queue, lossy, as_reply);
-      return;
-    }
     scratch_.swap(queue);  // sends made during delivery land in the next batch
     in_delivery_ = true;
     const bool coin = lossy && lossy_run_;
@@ -672,10 +428,6 @@ class Network {
   std::vector<NodeId> alive_;
   std::vector<Rng> node_rngs_;            // flat SoA pool, lazily seeded...
   std::vector<std::uint8_t> rng_seeded_;  // ...per these flags
-  std::uint32_t shard_workers_ = 1;
-  std::vector<ShardSink> shard_states_;                 // pooled, sized on demand
-  std::vector<std::vector<std::uint32_t>> shard_buckets_;  // delivery dst buckets
-  std::vector<std::size_t> merge_cursors_;
   std::vector<Envelope> outbox_;
   std::vector<Envelope> replies_;
   std::vector<Envelope> scratch_;  // pooled delivery batch (double buffer)

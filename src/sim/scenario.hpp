@@ -39,12 +39,11 @@ struct Scenario {
   /// pipelines bump it by each phase's executed rounds so one churn
   /// schedule spans the whole execution).
   std::uint32_t start_round = 0;
-  /// Worker budget for deterministic intra-round sharding (engine.hpp):
-  /// 1 keeps the historical serial scan, 0 means one worker per hardware
-  /// core (the RunSpec::intra_threads convention).  Sharding is
-  /// observationally invisible -- reports are byte-identical at any value
-  /// -- so this is a pure throughput knob for protocols that opt in
-  /// (kShardable).
+  /// Unused: nothing reads it.  It was the worker budget for the engine's
+  /// intra-round sharding, which was removed because it was no faster
+  /// than the serial round loop below 2^24 nodes (README, "Scaling to
+  /// millions of nodes").  It stays declared only while the benchmark
+  /// driver (bench/e2e/drrg_bench.cpp) still assigns it.
   std::uint32_t intra_threads = 1;
 
   Scenario() = default;

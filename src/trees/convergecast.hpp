@@ -11,7 +11,7 @@
 // The paper bounds Phase II time by the tree size; in the random phone
 // call model a parent may *receive* from several children in one round,
 // so the measured time is Theta(height + retries) -- strictly within the
-// paper's bound (see DESIGN.md).
+// paper's bound.
 
 #include <cstdint>
 #include <span>

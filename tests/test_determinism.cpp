@@ -222,12 +222,11 @@ TEST(GoldenDeterminism, MedianIntraThreadsAreBitIdentical) {
   EXPECT_EQ(api::report_checksum(api::run("drr", spec)), inline_hash);
 }
 
-// Intra-round sharding (engine-level, kShardable protocols, batches past
-// the activation floor) must be byte-invisible: the same run hashed at
-// intra_threads 1/4/8/0 on a batch size that actually activates the
-// sharded scan and delivery paths (n >= 2048), with loss + crash so the
-// serial drop pass and the tag merge are both exercised.
-TEST(GoldenDeterminism, ShardedEngineIsIntraThreadInvariant) {
+// RunSpec::intra_threads fans out only the sub-runs of a run that has
+// independent ones (the median bracket, the histogram); it must never
+// reach a uniform report.  The same push-sum and push-max runs, with loss
+// and crashes, hashed at intra_threads 1/4/8/0 pin that.
+TEST(GoldenDeterminism, UniformIsIntraThreadInvariant) {
   for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
     api::RunSpec spec = spec_of(8192, agg, 7);
     spec.faults.loss_prob = 0.05;

@@ -234,7 +234,9 @@ TEST(MillionNodeSmoke, DensePushSumCompletes) {
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_LT(r.rel_error(), 1e-9);
   const std::size_t rss = peak_rss_mib();
-  if (rss != 0) EXPECT_LT(rss, kRssBudgetMib);
+  if (rss != 0) {
+    EXPECT_LT(rss, kRssBudgetMib);
+  }
 }
 
 TEST(MillionNodeSmoke, ImplicitChordDrrCompletes) {
@@ -251,7 +253,9 @@ TEST(MillionNodeSmoke, ImplicitChordDrrCompletes) {
   const double nlogn = static_cast<double>(kMillion) * 20.0;
   EXPECT_LT(static_cast<double>(r.cost.sent), 8.0 * nlogn);
   const std::size_t rss = peak_rss_mib();
-  if (rss != 0) EXPECT_LT(rss, kRssBudgetMib);
+  if (rss != 0) {
+    EXPECT_LT(rss, kRssBudgetMib);
+  }
 }
 
 }  // namespace
