@@ -1,9 +1,7 @@
 #include "aggregate/quantile.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace drrg {
@@ -29,21 +27,10 @@ QuantileOutcome drr_gossip_quantile(std::uint32_t n, std::span<const double> val
     return with_stream_salt(config.pipeline, k + 1);
   };
 
-  // Bracket the domain with Min/Max runs, then count participants.  The
-  // three runs are independent (each is a pure function of its salted
-  // config), so they fan onto the deterministic executor; results are
-  // absorbed in fixed index order, bit-identical for any thread count.
-  std::vector<AggregateOutcome> bracket =
-      parallel_map(3, config.threads, [&](std::size_t i) {
-        switch (i) {
-          case 0: return drr_gossip_min(n, values, seed, scenario, sub_config(0));
-          case 1: return drr_gossip_max(n, values, seed, scenario, sub_config(1));
-          default: return drr_gossip_count(n, seed, scenario, sub_config(2));
-        }
-      });
-  const AggregateOutcome& lo_run = bracket[0];
-  const AggregateOutcome& hi_run = bracket[1];
-  const AggregateOutcome& count_run = bracket[2];
+  // Bracket the domain with Min/Max runs, then count participants.
+  const AggregateOutcome lo_run = drr_gossip_min(n, values, seed, scenario, sub_config(0));
+  const AggregateOutcome hi_run = drr_gossip_max(n, values, seed, scenario, sub_config(1));
+  const AggregateOutcome count_run = drr_gossip_count(n, seed, scenario, sub_config(2));
   absorb(lo_run);
   absorb(hi_run);
   absorb(count_run);

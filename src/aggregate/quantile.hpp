@@ -4,7 +4,10 @@
 // queries; we follow the same scheme with DRR-gossip as the rank engine:
 // binary-search the value domain, each probe costing one full
 // DRR-gossip-rank run (O(log n) rounds, O(n log log n) messages), so a
-// quantile costs O(log(range/tolerance)) pipeline runs.
+// quantile costs O(log(range/tolerance)) pipeline runs.  Min, Max and
+// Count runs bracket the domain first.  Every run executes on the calling
+// thread, one after another; concurrency belongs to whole trials
+// (api::run_trials).
 
 #include <cstdint>
 #include <span>
@@ -17,13 +20,6 @@ namespace drrg {
 struct QuantileConfig {
   /// Bisection iterations on the value domain.
   std::uint32_t iterations = 40;
-  /// Worker threads for the *independent* sub-runs (the Min/Max/Count
-  /// bracket).  The bisection itself is inherently sequential.  1 = run
-  /// inline; 0 = one thread per hardware core.  Any value is
-  /// bit-identical (the sub-runs are pure functions of their salted
-  /// configs); api::run_trials threads its leftover budget through here
-  /// via RunSpec::intra_threads.
-  unsigned threads = 1;
   DrrGossipConfig pipeline;
 };
 

@@ -100,10 +100,7 @@ class LastEntryMemo {
     return sim::Scenario{sim::Topology::complete_of(spec.n), spec.faults};
   }
   const std::uint64_t seed = derive_seed(spec.seed, 0x7090ULL);
-  // The sparse pipeline walks real adjacency (substrate_graph), so it
-  // always gets the CSR backend regardless of what kAuto would pick.
-  sim::TopologySpec topo_spec = spec.topology;
-  if (spec.pipeline == Pipeline::kSparse) topo_spec.backend = sim::TopologyBackend::kCsr;
+  const sim::TopologySpec topo_spec = effective_topology(spec);
   struct Key {
     sim::TopologyKind kind;
     std::uint32_t degree;
@@ -432,12 +429,6 @@ RunReport run_drr(const RunSpec& spec) {
       cfg.pipeline = config_as<DrrGossipConfig>(spec, report);
       if (!report.error.empty()) return report;
     }
-    // The spec's intra-run budget fans the bisection's independent
-    // bracket runs; an explicit QuantileConfig::threads wins if larger,
-    // and 0 ("all hardware cores") on either side wins outright.
-    cfg.threads = (cfg.threads == 0 || spec.intra_threads == 0)
-                      ? 0
-                      : std::max(cfg.threads, spec.intra_threads);
     const QuantileOutcome q = drr_gossip_median(spec.n, values, spec.seed, scenario, cfg);
     report.value = q.value;
     report.consensus = true;  // every query run reached consensus internally

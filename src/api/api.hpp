@@ -138,13 +138,11 @@ struct RunSpec {
   workload::ValueRange workload_range{};
   /// Threshold x of the Rank aggregate: |{ alive v : values[v] < x }|.
   double rank_threshold = 0.0;
-  /// Worker threads for *intra-run* fan-outs -- through the facade that
-  /// is the Median bisection's Min/Max/Count bracket (the direct-call
-  /// drr_gossip_histogram API takes the same knob as a parameter).
-  /// 1 = inline, 0 = all hardware cores; bit-identical for any value.
-  /// run_trials threads its leftover budget through here, so nesting
-  /// under the trial executor never oversubscribes: outer workers x
-  /// intra threads <= the requested total.
+  /// Unused: nothing reads it.  It was the worker budget for a run's
+  /// internal sub-runs (the median's Min/Max/Count bracket), removed
+  /// because it bought no wall time; run_trials' `threads` is the only
+  /// parallelism on the facade.  It stays declared only while the
+  /// benchmark driver (bench/e2e/drrg_bench.cpp) still assigns it.
   unsigned intra_threads = 1;
   AlgorithmConfig config{};
 };
@@ -192,5 +190,10 @@ struct RunReport {
 /// saturated fraction.
 [[nodiscard]] std::optional<std::string> validate_faults(
     const sim::FaultSchedule& faults);
+
+/// The topology a run of `spec` materialises: spec.topology, except that
+/// the sparse pipeline walks real adjacency (substrate_graph) and so
+/// always gets the CSR backend, whatever was requested.
+[[nodiscard]] sim::TopologySpec effective_topology(const RunSpec& spec) noexcept;
 
 }  // namespace drrg::api

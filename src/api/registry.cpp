@@ -6,7 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "api/parallel.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace drrg::api {
@@ -86,6 +86,12 @@ std::optional<std::string> validate_faults(const sim::FaultSchedule& faults) {
   }
   if (bad(l.tail_prob)) return "latency tail_prob must lie in [0, 1]";
   return std::nullopt;
+}
+
+sim::TopologySpec effective_topology(const RunSpec& spec) noexcept {
+  sim::TopologySpec topology = spec.topology;
+  if (spec.pipeline == Pipeline::kSparse) topology.backend = sim::TopologyBackend::kCsr;
+  return topology;
 }
 
 double RunReport::abs_error() const noexcept { return std::fabs(value - truth); }
@@ -195,19 +201,9 @@ std::vector<RunReport> run_trials(std::string_view algorithm, const RunSpec& spe
                                   int trials, unsigned threads) {
   if (trials < 0) trials = 0;
   (void)Registry::instance();  // build the registry before workers race to it
-  // Shared thread budget: trial-level workers take priority, whatever is
-  // left over flows into each trial's intra-run fan-outs (e.g. a Median
-  // sweep of 2 trials at --threads 8 runs 2 trial workers x 4 intra
-  // threads).  Purely a scheduling decision -- results are bit-identical.
-  const unsigned outer = resolve_threads(threads, static_cast<std::size_t>(trials));
-  const unsigned total = resolve_threads(threads, std::size_t{1} << 20);
-  const unsigned leftover = outer > 0 ? std::max(1u, total / outer) : 1;
   return parallel_map(static_cast<std::size_t>(trials), threads, [&](std::size_t t) {
     RunSpec trial = spec;
     trial.seed = trial_seed(spec.seed, static_cast<int>(t));
-    // 0 means "all hardware cores" and must survive the merge.
-    trial.intra_threads =
-        spec.intra_threads == 0 ? 0 : std::max(spec.intra_threads, leftover);
     return run(algorithm, trial);
   });
 }

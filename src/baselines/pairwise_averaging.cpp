@@ -35,11 +35,11 @@ struct PaMsg {
 /// so the lock times out.  With the zero model every exchange resolves in
 /// its own round and the lock is invisible.
 struct PairwiseProtocol {
-  explicit PairwiseProtocol(std::vector<double> v, const Graph* graph,
-                            std::uint32_t bits, std::uint32_t latency_bound)
+  explicit PairwiseProtocol(std::vector<double> v, std::uint32_t bits,
+                            std::uint32_t latency_bound)
       : value(std::move(v)), active(value.size(), false),
         paired(value.size(), false), locked(value.size(), 0),
-        offer_round(value.size(), 0), g(graph), value_bits(bits),
+        offer_round(value.size(), 0), value_bits(bits),
         ack_deadline(latency_bound) {}
 
   std::vector<double> value;
@@ -47,7 +47,6 @@ struct PairwiseProtocol {
   std::vector<bool> paired;  // passive node already matched this round
   std::vector<std::uint8_t> locked;  // offer in flight: mid-exchange
   std::vector<std::uint32_t> offer_round;
-  const Graph* g;            // nullptr = complete graph, uniform partners
   std::uint32_t value_bits;
   std::uint32_t ack_deadline;  // latency bound; 0 = same-round resolution
 
@@ -61,14 +60,12 @@ struct PairwiseProtocol {
     }
     active[v] = net.node_rng(v).next_bernoulli(0.5);
     if (!active[v]) return;
-    sim::NodeId partner;
-    if (g == nullptr) {
-      partner = net.sample_peer(v);
-      if (partner == v) partner = (partner + 1) % net.size();
-    } else {
-      const auto nb = g->neighbors(v);
-      if (nb.empty()) return;
-      partner = nb[net.node_rng(v).next_below(nb.size())];
+    sim::NodeId partner = net.sample_peer(v);
+    if (partner == v) {
+      // An isolated node of an explicit graph has no one to call; a
+      // self-draw on the complete graph moves on to the next id.
+      if (!net.scenario().topology.is_complete()) return;
+      partner = (partner + 1) % net.size();
     }
     locked[v] = 1;
     offer_round[v] = net.round();
@@ -100,14 +97,16 @@ struct PairwiseProtocol {
   }
 };
 
-PairwiseResult run_pairwise(std::uint32_t n, std::span<const double> values,
-                            const Graph* g, std::uint64_t seed, const sim::Scenario& scenario,
-                            const PairwiseConfig& config) {
+}  // namespace
+
+PairwiseResult pairwise_average(std::uint32_t n, std::span<const double> values,
+                                std::uint64_t seed, const sim::Scenario& scenario,
+                                PairwiseConfig config) {
   if (values.size() < n) throw std::invalid_argument("pairwise_average: values too short");
   RngFactory rngs{seed};
   sim::Network<PaMsg> net{n, rngs, scenario, /*purpose=*/0x9a19};
 
-  PairwiseProtocol proto{std::vector<double>(values.begin(), values.begin() + n), g,
+  PairwiseProtocol proto{std::vector<double>(values.begin(), values.begin() + n),
                          64 + address_bits(n), scenario.faults.latency.bound()};
   double sum = 0.0;
   for (sim::NodeId v : net.alive_nodes()) sum += proto.value[v];
@@ -143,22 +142,6 @@ PairwiseResult run_pairwise(std::uint32_t n, std::span<const double> values,
       result.error_per_round.empty() ? 0.0 : result.error_per_round.back();
   result.counters = net.counters();
   return result;
-}
-
-}  // namespace
-
-PairwiseResult pairwise_average(std::uint32_t n, std::span<const double> values,
-                                std::uint64_t seed, const sim::Scenario& scenario,
-                                PairwiseConfig config) {
-  return run_pairwise(n, values, nullptr, seed, scenario, config);
-}
-
-PairwiseResult pairwise_average_on_graph(const Graph& g, std::span<const double> values,
-                                         std::uint64_t seed, const sim::Scenario& scenario,
-                                         PairwiseConfig config) {
-  if (g.is_complete())
-    return run_pairwise(g.size(), values, nullptr, seed, scenario, config);
-  return run_pairwise(g.size(), values, &g, seed, scenario, config);
 }
 
 }  // namespace drrg

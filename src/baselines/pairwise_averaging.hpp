@@ -25,7 +25,6 @@
 #include "sim/counters.hpp"
 #include "sim/scenario.hpp"
 #include "support/rng.hpp"
-#include "topology/graph.hpp"
 
 namespace drrg {
 
@@ -46,19 +45,14 @@ struct PairwiseResult {
   sim::Counters counters;
 };
 
-/// Pairwise averaging with uniform partner selection (complete graph).
+/// Pairwise averaging with partners drawn by the scenario's topology:
+/// uniform over all nodes on the complete graph, a uniform random
+/// neighbor on an explicit one (the distributed-averaging setting of
+/// [1], e.g. sim::Topology::of_graph(g)).
 [[nodiscard]] PairwiseResult pairwise_average(std::uint32_t n,
                                               std::span<const double> values,
                                               std::uint64_t seed,
                                               const sim::Scenario& scenario = {},
                                               PairwiseConfig config = {});
-
-/// Pairwise averaging where partners are uniform random *neighbors* of an
-/// explicit graph (the distributed-averaging setting of [1]).
-[[nodiscard]] PairwiseResult pairwise_average_on_graph(const Graph& g,
-                                                       std::span<const double> values,
-                                                       std::uint64_t seed,
-                                                       const sim::Scenario& scenario = {},
-                                                       PairwiseConfig config = {});
 
 }  // namespace drrg

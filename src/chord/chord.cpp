@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "support/mathutil.hpp"
+#include "support/rng.hpp"
 
 namespace drrg {
 
@@ -163,16 +164,6 @@ std::uint32_t ChordOverlay::route_hops(NodeId src, std::uint64_t key) const {
 
 std::uint32_t ChordOverlay::smear_width() const noexcept {
   return std::max<std::uint32_t>(8, ceil_log2(n_));
-}
-
-NodeId ChordOverlay::sample_near_uniform(NodeId src, Rng& rng, std::uint32_t* hops) const {
-  const std::uint64_t key = rng.next_below(ring_size());
-  const NodeId landing = owner_of_key(key);
-  const auto walk = static_cast<std::uint32_t>(rng.next_below(smear_width()));
-  if (hops != nullptr) *hops += route_hops(src, key) + walk;
-  // Walk `walk` successor steps from the landing node.
-  const std::uint32_t pos = ring_pos_[landing];
-  return sorted_nodes_[(pos + walk) % n_];
 }
 
 }  // namespace drrg

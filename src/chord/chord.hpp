@@ -16,12 +16,13 @@
 // consecutive arcs divided by the ring size; sums of S exponential-ish
 // arcs concentrate around S * mean, so every node is selected with
 // probability (1 +- O(1/sqrt(S))) / n -- near-uniform in exactly the sense
-// the Phase III analysis needs -- at O(log n) hops per draw.
+// the Phase III analysis needs -- at O(log n) hops per draw.  The sampler
+// itself is SparseRouter::begin_random (aggregate/routing.hpp), which the
+// engine expands hop by hop; this class supplies the ring, the greedy
+// routing and the smear width S.
 
 #include <cstdint>
 #include <vector>
-
-#include "support/rng.hpp"
 
 namespace drrg {
 
@@ -76,13 +77,6 @@ class ChordOverlay {
 
   /// Number of overlay hops of route(src, key).
   [[nodiscard]] std::uint32_t route_hops(NodeId src, std::uint64_t key) const;
-
-  /// Near-uniform random node selection (see file comment) as performed by
-  /// node `src`: route a random key from src, then walk a uniform number
-  /// of successor steps in [0, smear_width()).  Adds the overlay hops
-  /// consumed (routing + successor walk) to *hops if non-null.
-  [[nodiscard]] NodeId sample_near_uniform(NodeId src, Rng& rng,
-                                           std::uint32_t* hops = nullptr) const;
 
   /// Successor-walk width S of the sampler: max(8, ceil(log2 n)).
   [[nodiscard]] std::uint32_t smear_width() const noexcept;

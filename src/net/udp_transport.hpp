@@ -1,10 +1,9 @@
 #pragma once
 // UdpTransport: one node's datagram endpoint plus the peer address
-// table.  This is the real-socket counterpart of the lockstep
-// sim::Network (see net/transport.hpp for the seam): it moves wire.hpp
-// frames between processes and keeps the same sent/delivered/bits
-// accounting, but delivery is asynchronous and unreliable -- retry and
-// timeout policy lives with the protocol state machines in node.hpp.
+// table.  It moves wire.hpp frames between processes and keeps the
+// lockstep sim::Network's sent/delivered/bits accounting, but delivery
+// is asynchronous and unreliable -- retry and timeout policy lives with
+// the protocol state machines in node.hpp.
 //
 // Addressing: node v resolves to 127.0.0.1:(port_base + v) unless an
 // explicit seed list ("host:port,host:port,..." -- position i is node

@@ -2,16 +2,9 @@
 // Synchronous random-phone-call network simulator (the model of §2),
 // generalised into a scenario engine: the communication substrate
 // (sim::Topology) and the fault model (sim::FaultSchedule) are first-class,
-// swappable components bundled into a sim::Scenario.
-//
-// Network<Msg> is the lockstep implementation of the net::Transport
-// seam (src/net/transport.hpp): the surface protocols rely on --
-// size/alive/round, node_rng, sample_peer, send/reply, counters,
-// scenario -- is the concept's contract, statically asserted there.
-// The multi-process UDP runtime (src/net/) is the other implementation
-// of that contract; this engine stays byte-identical to the pre-seam
-// behavior (pinned by the FNV-1a sweep checksums in test_determinism
-// and the engine-sweep sha256 hashes in BENCH_engine.json).
+// swappable components bundled into a sim::Scenario.  Its behaviour is
+// pinned by the FNV-1a sweep checksums in test_determinism and the
+// engine-sweep sha256 hashes in BENCH_engine.json.
 //
 // Time advances in discrete rounds.  In each round every live node gets an
 // on_round() upcall in which it may *call* other nodes by sending messages;

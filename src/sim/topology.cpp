@@ -227,10 +227,15 @@ GridShape grid_shape(std::uint32_t n) noexcept {
   return shape;
 }
 
+bool uses_implicit_backend(const TopologySpec& spec, std::uint32_t n) noexcept {
+  if (spec.kind != TopologyKind::kChordRing && spec.kind != TopologyKind::kGrid2d)
+    return false;
+  return spec.backend == TopologyBackend::kImplicit ||
+         (spec.backend == TopologyBackend::kAuto && n >= kImplicitAutoThreshold);
+}
+
 Topology make_topology(const TopologySpec& spec, std::uint32_t n, std::uint64_t seed) {
-  const bool implicit =
-      spec.backend == TopologyBackend::kImplicit ||
-      (spec.backend == TopologyBackend::kAuto && n >= kImplicitAutoThreshold);
+  const bool implicit = uses_implicit_backend(spec, n);
   switch (spec.kind) {
     case TopologyKind::kComplete:
       return Topology::complete_of(n);

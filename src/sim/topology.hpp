@@ -320,14 +320,20 @@ struct GridShape {
 };
 [[nodiscard]] GridShape grid_shape(std::uint32_t n) noexcept;
 
+/// The storage rule: true when make_topology(spec, n, seed) computes
+/// neighbors from ids instead of materialising CSR.  Only chord rings and
+/// grids/tori have an implicit backend; they take it when the spec forces
+/// kImplicit, or under kAuto at n >= kImplicitAutoThreshold.
+[[nodiscard]] bool uses_implicit_backend(const TopologySpec& spec,
+                                         std::uint32_t n) noexcept;
+
 /// Materialises a spec for n nodes.  Randomized builders draw from `seed`.
 /// Degree is bumped by one when n*degree is odd (the configuration model
 /// needs an even degree sum); grids use the largest divisor of n that is
 /// <= sqrt(n) as the row count and *reject* a prime n (a 1 x n "grid" is a
 /// path with diameter n-1, silently invalidating grid-family results) with
-/// std::invalid_argument.  Chord rings and grids honour spec.backend;
-/// kAuto materialises CSR below kImplicitAutoThreshold nodes and goes
-/// implicit at or above it.
+/// std::invalid_argument.  Chord rings and grids pick their storage by
+/// uses_implicit_backend.
 [[nodiscard]] Topology make_topology(const TopologySpec& spec, std::uint32_t n,
                                      std::uint64_t seed);
 

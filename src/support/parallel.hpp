@@ -1,8 +1,8 @@
 #pragma once
 // Deterministic parallel map over an index range.
 //
-// Monte-Carlo sweeps (api::run_trials, api::run_matrix) and intra-run
-// fan-outs (the quantile bracket, the histogram's rank queries) are
+// Monte-Carlo sweeps (api::run_trials, api::run_matrix) and the
+// direct-call histogram's rank queries (drr_gossip_histogram) are
 // embarrassingly parallel: every task is a pure function of its index
 // (all randomness flows from derived seeds, no globals are mutated).  The
 // executor therefore guarantees *bit-identical* output for any thread
@@ -17,8 +17,9 @@
 //
 // So `threads` is purely a wall-clock knob; correctness tests can run the
 // same sweep at --threads 1/4/8 and memcmp the reports.  Lives in
-// support/ so the aggregate layer can nest fan-outs without depending on
-// the api facade; api/parallel.hpp re-exports the historical names.
+// support/ so the aggregate layer can use it without depending on the api
+// facade.  Every task is a whole pipeline run: nothing fans out inside a
+// run.
 
 #include <atomic>
 #include <cstddef>

@@ -1,5 +1,6 @@
-// Tests of the Chord overlay: identifiers, routing, and the near-uniform
-// sampler that implements §4 Assumption (2).
+// Tests of the Chord overlay: identifiers, routing and the smear width.
+// The near-uniform sampler that implements §4 Assumption (2) runs through
+// SparseRouter::begin_random; test_sparse_properties.cpp tests it.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "chord/chord.hpp"
 #include "support/mathutil.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace drrg {
@@ -191,35 +193,6 @@ TEST(Chord, RouteFromOwnerIsZeroHops) {
   ChordOverlay c{64, 10};
   const std::uint64_t key = c.id_of(5);
   EXPECT_EQ(c.route_hops(5, key), 0u);
-}
-
-TEST(Chord, SamplerCoversEveryNode) {
-  ChordOverlay c{256, 11};
-  Rng rng{13};
-  std::vector<std::uint64_t> counts(c.size(), 0);
-  for (int i = 0; i < 100000; ++i)
-    ++counts[c.sample_near_uniform(static_cast<NodeId>(rng.next_below(c.size())), rng)];
-  const double expected = 100000.0 / c.size();
-  for (NodeId v = 0; v < c.size(); ++v) {
-    EXPECT_GT(counts[v], 0u) << "node " << v << " never sampled";
-    // Smearing over S arcs keeps every node within a constant factor.
-    EXPECT_GT(static_cast<double>(counts[v]), expected / 8.0);
-    EXPECT_LT(static_cast<double>(counts[v]), expected * 8.0);
-  }
-}
-
-TEST(Chord, SamplerHopsLogarithmic) {
-  ChordOverlay c{1024, 12};
-  Rng rng{17};
-  double total = 0.0;
-  const int trials = 3000;
-  for (int i = 0; i < trials; ++i) {
-    std::uint32_t hops = 0;
-    (void)c.sample_near_uniform(static_cast<NodeId>(rng.next_below(c.size())), rng, &hops);
-    total += hops;
-  }
-  // Routing ~ (1/2) log n plus the successor walk ~ S/2.
-  EXPECT_LE(total / trials, 3.0 * 10.0);
 }
 
 TEST(Chord, SmearWidthLogarithmic) {

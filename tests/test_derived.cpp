@@ -11,6 +11,7 @@
 #include "aggregate/derived.hpp"
 #include "baselines/pairwise_averaging.hpp"
 #include "baselines/uniform_gossip.hpp"
+#include "sim/topology.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
 #include "topology/builders.hpp"
@@ -205,10 +206,22 @@ TEST(PairwiseAveraging, WorksOnSparseGraphs) {
   }
   PairwiseConfig cfg;
   cfg.round_multiplier = 40.0;  // grid mixing is slower (spectral gap)
-  const auto r = pairwise_average_on_graph(g, values, 32, {}, cfg);
+  const auto r = pairwise_average(g.size(), values, 32,
+                                  sim::Scenario{sim::Topology::of_graph(g), {}}, cfg);
   // Sparse mixing is slow; just require substantial contraction.
   EXPECT_LT(r.max_relative_error, 0.05);
   EXPECT_NEAR(std::accumulate(r.value.begin(), r.value.end(), 0.0), sum, 1e-6 * sum);
+}
+
+TEST(PairwiseAveraging, IsolatedNodeKeepsItsValue) {
+  // A path 0-1-2-3-4 plus the isolated node 5: it has no partner, so its
+  // value never moves, and the path's sum is conserved.
+  const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  const std::vector<double> values{1.0, 2.0, 3.0, 4.0, 5.0, 100.0};
+  const auto r =
+      pairwise_average(6, values, 7, sim::Scenario{sim::Topology::of_graph(g), {}});
+  EXPECT_EQ(r.value[5], 100.0);
+  EXPECT_NEAR(std::accumulate(r.value.begin(), r.value.begin() + 5, 0.0), 15.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 // The checksums below were generated from the PRE-rewrite tree (generic
 // Network-only hot path, per-round queue allocation, eager per-node RNGs)
 // and must keep matching forever: the pooled-queue engine, the flat
-// fault-free executors, the CSR topology view and the intra-run fan-outs
-// are required to be *observationally invisible*.  Two families:
+// fault-free executors and the CSR topology view are required to be
+// *observationally invisible*.  Two families:
 //
 //   * kPreRewriteGoldens -- bit-identical to the pre-rewrite binary (all
 //     complete-topology runs, plus every faulty run; the loss/crash-only
@@ -21,8 +21,8 @@
 // pipeline opened to explicit substrates: hop-by-hop expansion changed
 // that family's traffic by design, and these checksums freeze it.
 //
-// Every sweep is additionally checked at --threads 1/4/8 (and the median
-// bisection at intra_threads 1/4): any divergence is a scheduling leak.
+// Every sweep is additionally checked at --threads 1/4/8: any divergence
+// is a scheduling leak.
 
 #include <gtest/gtest.h>
 
@@ -211,33 +211,6 @@ TEST(GoldenDeterminism, GridSweepIsThreadCountInvariant) {
   const std::uint64_t h1 = api::sweep_checksum(api::run_trials("drr", spec, 3, 1));
   for (const unsigned threads : {4u, 8u})
     EXPECT_EQ(api::sweep_checksum(api::run_trials("drr", spec, 3, threads)), h1);
-}
-
-TEST(GoldenDeterminism, MedianIntraThreadsAreBitIdentical) {
-  api::RunSpec spec = spec_of(128, api::Aggregate::kMedian, 5);
-  const std::uint64_t inline_hash = api::report_checksum(api::run("drr", spec));
-  spec.intra_threads = 4;
-  EXPECT_EQ(api::report_checksum(api::run("drr", spec)), inline_hash);
-  spec.intra_threads = 0;  // all cores
-  EXPECT_EQ(api::report_checksum(api::run("drr", spec)), inline_hash);
-}
-
-// RunSpec::intra_threads fans out only the sub-runs of a run that has
-// independent ones (the median bracket, the histogram); it must never
-// reach a uniform report.  The same push-sum and push-max runs, with loss
-// and crashes, hashed at intra_threads 1/4/8/0 pin that.
-TEST(GoldenDeterminism, UniformIsIntraThreadInvariant) {
-  for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
-    api::RunSpec spec = spec_of(8192, agg, 7);
-    spec.faults.loss_prob = 0.05;
-    spec.faults.crash_fraction = 0.1;
-    const std::uint64_t serial = api::report_checksum(api::run("uniform", spec));
-    for (const unsigned intra : {4u, 8u, 0u}) {
-      spec.intra_threads = intra;
-      EXPECT_EQ(api::report_checksum(api::run("uniform", spec)), serial)
-          << "agg " << static_cast<int>(agg) << " intra_threads " << intra;
-    }
-  }
 }
 
 // The flat executors (run_drr_flat, run_convergecast_flat,

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -105,6 +106,40 @@ TEST(ImplicitTopology, AutoSwitchesAtThreshold) {
                   .is_implicit());
   EXPECT_TRUE(build(sim::TopologyKind::kGrid2d, sim::TopologyBackend::kAuto, at)
                   .is_implicit());
+}
+
+/// One storage rule: sim::uses_implicit_backend over api::effective_topology
+/// (what the CLI's "backend" field prints) names the storage make_topology
+/// builds, on both sides of the auto threshold and for both pipelines.
+TEST(ImplicitTopology, StorageRuleMatchesMakeTopology) {
+  const std::uint32_t at = sim::kImplicitAutoThreshold;
+  for (const sim::TopologyKind kind :
+       {sim::TopologyKind::kChordRing, sim::TopologyKind::kGrid2d}) {
+    for (const sim::TopologyBackend backend :
+         {sim::TopologyBackend::kAuto, sim::TopologyBackend::kCsr,
+          sim::TopologyBackend::kImplicit}) {
+      for (const std::uint32_t n : {1024u, at}) {
+        for (const api::Pipeline pipeline : {api::Pipeline::kDense, api::Pipeline::kSparse}) {
+          api::RunSpec spec;
+          spec.n = n;
+          spec.topology.kind = kind;
+          spec.topology.backend = backend;
+          spec.pipeline = pipeline;
+          const sim::TopologySpec topology = api::effective_topology(spec);
+          const bool implicit = sim::uses_implicit_backend(topology, n);
+          const std::string what = std::string{sim::to_string(kind)} + "/" +
+                                   std::string{sim::to_string(backend)} + "/" +
+                                   std::string{api::to_string(pipeline)} + " n " +
+                                   std::to_string(n);
+          if (pipeline == api::Pipeline::kSparse) {
+            EXPECT_FALSE(implicit) << what;
+          }
+          if (!implicit && n >= at) continue;  // a CSR build this large is slow
+          EXPECT_EQ(sim::make_topology(topology, n, 13).is_implicit(), implicit) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(ImplicitTopology, RandomRegularRejectsImplicit) {

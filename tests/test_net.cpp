@@ -12,7 +12,6 @@
 #include "net/membership.hpp"
 #include "net/multiproc.hpp"
 #include "net/node.hpp"
-#include "net/transport.hpp"  // compiles the Transport concept static_assert
 #include "net/udp_transport.hpp"
 #include "support/rng.hpp"
 #include "support/workload.hpp"

@@ -141,6 +141,40 @@ TEST(Assumption2, ChordRoutedSamplingIsNearUniform) {
                                router.max_route_hops());
 }
 
+// Chord's begin_random on its own: draws from random sources land on every
+// node within a constant factor of the mean, at O(log n) hops per draw.
+TEST(Assumption2, ChordSamplerCoversEveryNode) {
+  ChordOverlay c{256, 11};
+  const SparseRouter router = SparseRouter::on_chord(c);
+  Rng rng{13};
+  std::vector<std::uint64_t> counts(c.size(), 0);
+  std::uint32_t hops = 0;
+  for (int i = 0; i < 100000; ++i)
+    ++counts[land(router, static_cast<NodeId>(rng.next_below(c.size())), rng, &hops)];
+  const double expected = 100000.0 / c.size();
+  for (NodeId v = 0; v < c.size(); ++v) {
+    EXPECT_GT(counts[v], 0u) << "node " << v << " never sampled";
+    // Smearing over S arcs keeps every node within a constant factor.
+    EXPECT_GT(static_cast<double>(counts[v]), expected / 8.0);
+    EXPECT_LT(static_cast<double>(counts[v]), expected * 8.0);
+  }
+}
+
+TEST(Assumption2, ChordSamplerHopsLogarithmic) {
+  ChordOverlay c{1024, 12};
+  const SparseRouter router = SparseRouter::on_chord(c);
+  Rng rng{17};
+  double total = 0.0;
+  const int trials = 3000;
+  for (int i = 0; i < trials; ++i) {
+    std::uint32_t hops = 0;
+    (void)land(router, static_cast<NodeId>(rng.next_below(c.size())), rng, &hops);
+    total += hops;
+  }
+  // Routing ~ (1/2) log n plus the successor walk ~ S/2.
+  EXPECT_LE(total / trials, 3.0 * 10.0);
+}
+
 TEST(Assumption2, GridRoutedSamplingIsExactlyUniform) {
   const sim::Topology t = sim::make_topology({sim::TopologyKind::kGrid2d}, 1024, 3);
   const SparseRouter router = SparseRouter::on_substrate(t);

@@ -24,6 +24,8 @@
 # Usage:
 #   tools/bench_baseline.sh [BUILD_DIR] [OUT_JSON]
 #   PRE_CLI=path/to/old/drrg_cli tools/bench_baseline.sh   # adds speedup rows
+#     (PRE_CLI runs each sweep point's exact arguments, so it must accept
+#     the current flags, e.g. --diam-mult)
 #   SMOKE=1 tools/bench_baseline.sh                        # CI-sized matrix
 set -euo pipefail
 
@@ -78,18 +80,15 @@ run_sweep() {
        --threads 4 "$@" --csv | sha256sum | cut -d' ' -f1)
   [ "$H1" = "$H4" ] && DET=true
   local ROW="{\"bench\":\"engine_sweep\",\"topology\":\"$LABEL\",\"algo\":\"$ALGO\",\"n\":$N,\"trials\":$TRIALS,\"threads\":$THREADS,\"wall_s\":$BEST,\"deterministic\":$DET,\"sha256\":\"$H1\""
-  if [ "$ALGO" = drr ] && [ -n "${PRE_CLI:-}" ] && [ -x "${PRE_CLI}" ]; then
-    # The pre-PR binary has no --diam-mult flag; it also has no diameter
-    # scaling, so plain flags run the identical logical workload.  (drr
-    # only: the pre binary's chord-drr still ran on RoutedTransport.)
+  if [ -n "${PRE_CLI:-}" ] && [ -x "${PRE_CLI}" ]; then
+    # The older binary runs exactly the fresh run's arguments, so both
+    # sides do the same logical work.
     local PBEST=""
-    local TOPO_FLAGS=()
-    [ "$LABEL" != complete ] && TOPO_FLAGS=(--topology "$LABEL")
     for _ in $(seq "$REPS"); do
       local S E D
       S=$(date +%s.%N)
-      "$PRE_CLI" --algo drr --agg ave --n "$N" --trials "$TRIALS" \
-                 --threads "$THREADS" "${TOPO_FLAGS[@]}" --csv > /dev/null
+      "$PRE_CLI" --algo "$ALGO" --agg ave --n "$N" --trials "$TRIALS" \
+                 --threads "$THREADS" "$@" --csv > /dev/null
       E=$(date +%s.%N)
       D=$(python3 -c "print(f'{$E - $S:.4f}')")
       if [ -z "$PBEST" ] || python3 -c "exit(0 if $D < $PBEST else 1)"; then PBEST="$D"; fi

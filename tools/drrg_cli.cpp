@@ -35,7 +35,6 @@ struct Options {
   double rank_threshold = 0.0;
   int trials = 1;
   unsigned threads = 1;
-  unsigned intra_threads = 1;
   double diam_mult = 1.0;
   drrg::api::Pipeline pipeline = drrg::api::Pipeline::kDense;
   drrg::api::Transport transport = drrg::api::Transport::kSim;
@@ -75,7 +74,7 @@ struct Options {
                "                [--partition R:B[:H][,...]]\n"
                "                [--latency fixed:D|uniform:A-B|tail:A-B:P]\n"
                "                [--topology P] [--degree D] [--backend B] [--threshold X]\n"
-               "                [--trials T] [--threads W] [--intra-threads I]\n"
+               "                [--trials T] [--threads W]\n"
                "                [--diam-mult M] [--pipeline dense|sparse]\n"
                "                [--transport sim|udp] [--bind-port P] [--seed-list L]\n"
                "                [--chaos SPEC] [--round-ms MS]\n"
@@ -97,8 +96,6 @@ struct Options {
                "      grid/torus only); auto (default) goes implicit at n >= 131072.\n"
                "      Both sample identically -- results are byte-equal either way\n"
                "  --threads 0 uses every hardware core; any value is bit-identical\n"
-               "  --intra-threads fans a run's independent sub-runs (median bracket);\n"
-               "      0 = all cores, bit-identical for any value\n"
                "  --diam-mult scales the DRR Phase III budget by M*diameter/log2(n)\n"
                "      on explicit topologies (1 = default; 0 disables the whole\n"
                "      topology adaptation incl. the tree-member relay)\n"
@@ -163,7 +160,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--threshold") opt.rank_threshold = std::atof(next("--threshold"));
     else if (arg == "--trials") opt.trials = std::atoi(next("--trials"));
     else if (arg == "--threads") opt.threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    else if (arg == "--intra-threads") opt.intra_threads = static_cast<unsigned>(std::atoi(next("--intra-threads")));
     else if (arg == "--diam-mult") opt.diam_mult = std::atof(next("--diam-mult"));
     else if (arg == "--pipeline") {
       const char* name = next("--pipeline");
@@ -296,32 +292,27 @@ Options parse(int argc, char** argv) {
 /// Substrate facts beyond the family name: the resolved storage backend
 /// and, for lattices, the rows x cols shape make_topology derived from n
 /// (so a sweep's JSON records the actual aspect ratio, not just "grid").
-std::string topology_extras_json(const Options& opt) {
-  using drrg::sim::TopologyBackend;
+std::string topology_extras_json(const drrg::api::RunSpec& spec) {
   using drrg::sim::TopologyKind;
-  const TopologyKind kind = opt.topology.kind;
+  const TopologyKind kind = spec.topology.kind;
   std::string out;
   if (kind == TopologyKind::kChordRing || kind == TopologyKind::kGrid2d) {
-    // The sparse pipeline walks real adjacency, so the scenario layer
-    // forces CSR there no matter what was requested.
     const bool implicit =
-        opt.pipeline != drrg::api::Pipeline::kSparse &&
-        (opt.topology.backend == TopologyBackend::kImplicit ||
-         (opt.topology.backend == TopologyBackend::kAuto &&
-          opt.n >= drrg::sim::kImplicitAutoThreshold));
+        drrg::sim::uses_implicit_backend(drrg::api::effective_topology(spec), spec.n);
     out += ",\"backend\":\"";
     out += implicit ? "implicit" : "csr";
     out += '"';
   }
   if (kind == TopologyKind::kGrid2d) {
-    const drrg::sim::GridShape shape = drrg::sim::grid_shape(opt.n);
+    const drrg::sim::GridShape shape = drrg::sim::grid_shape(spec.n);
     out += ",\"grid_rows\":" + std::to_string(shape.rows) +
            ",\"grid_cols\":" + std::to_string(shape.cols);
   }
   return out;
 }
 
-void print_json(const Options& opt, const drrg::api::RunReport& r) {
+void print_json(const Options& opt, const drrg::api::RunSpec& spec,
+                const drrg::api::RunReport& r) {
   std::printf("{\"algo\":\"%s\",\"agg\":\"%s\",\"n\":%u,\"seed\":%llu,"
               "\"pipeline\":\"%s\",\"transport\":\"%s\","
               "\"topology\":\"%s\"%s,\"loss\":%.4f,\"crash\":%.4f,\"churn\":\"%s\","
@@ -335,7 +326,7 @@ void print_json(const Options& opt, const drrg::api::RunReport& r) {
               std::string{drrg::api::to_string(opt.pipeline)}.c_str(),
               std::string{drrg::api::to_string(opt.transport)}.c_str(),
               std::string{drrg::sim::to_string(opt.topology.kind)}.c_str(),
-              topology_extras_json(opt).c_str(),
+              topology_extras_json(spec).c_str(),
               opt.loss, opt.crash, opt.churn_text.c_str(),
               drrg::api::format_joins(opt.joins).c_str(),
               drrg::api::format_blocks(opt.blocks).c_str(),
@@ -397,7 +388,6 @@ int main(int argc, char** argv) {
                  "--bind-port/--seed-list/--chaos/--round-ms only apply to "
                  "--transport udp (ignored)\n");
   spec.rank_threshold = opt.rank_threshold;
-  spec.intra_threads = opt.intra_threads;
   if (opt.diam_mult != 1.0) {
     // Only the dense DRR pipeline reads the knob; leave the config variant
     // alone otherwise so other algorithms keep their defaults.  The sparse
@@ -454,7 +444,7 @@ int main(int argc, char** argv) {
                   r.value, r.truth, r.consensus ? 1 : 0,
                   static_cast<unsigned long long>(r.cost.sent), r.rounds);
     } else if (opt.json) {
-      print_json(opt, r);
+      print_json(opt, spec, r);
     } else {
       table.row()
           .add_uint(r.seed)
