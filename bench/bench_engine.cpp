@@ -4,9 +4,10 @@
 // these cases measure the *simulator itself*: wall-clock throughput of the
 // hot path in rounds/sec and messages/sec per topology, and heap
 // allocations per run (the pooled-queue engine should hold this constant
-// in rounds: steady-state rounds allocate nothing).  One case runs the
-// dense pipeline at the paper's fault setting.  One more case times
-// the per-seed Chord substrate build the routed pipeline starts from.
+// in rounds: steady-state rounds allocate nothing).  Three cases run the
+// dense pipeline and the two routed ones at the paper's fault setting.
+// One more case times the per-seed Chord substrate build the routed
+// pipeline starts from.
 //
 // tools/bench_baseline.sh runs these alongside the pinned CLI sweep and
 // folds the counters into BENCH_engine.json, the machine-readable perf
@@ -120,6 +121,21 @@ void BM_EngineDrrSparseGrid(benchmark::State& state) {
   engine_case(state, "drr", sim::TopologyKind::kGrid2d, api::Pipeline::kSparse);
 }
 BENCHMARK(BM_EngineDrrSparseGrid)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
+
+// Their faulty twins, at BM_EngineDrrFaulty's setting (loss 0.1, crash
+// 0.05): Local-DRR and the tree phases take the flat executors, and the
+// routed Phase III stays on sim::Network.
+void BM_EngineChordDrrFaulty(benchmark::State& state) {
+  engine_case(state, "chord-drr", sim::TopologyKind::kComplete, api::Pipeline::kDense,
+              sim::FaultSchedule{0.1, 0.05});
+}
+BENCHMARK(BM_EngineChordDrrFaulty)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
+
+void BM_EngineDrrSparseGridFaulty(benchmark::State& state) {
+  engine_case(state, "drr", sim::TopologyKind::kGrid2d, api::Pipeline::kSparse,
+              sim::FaultSchedule{0.1, 0.05});
+}
+BENCHMARK(BM_EngineDrrSparseGridFaulty)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
 
 // The Chord substrate a sweep over seeds builds once per trial: the
 // overlay (ids, ring index, finger table) plus its link graph.  The

@@ -119,13 +119,6 @@ NodeId ChordOverlay::finger(NodeId v, std::uint32_t k) const noexcept {
   return fingers_[static_cast<std::size_t>(v) * m_ + k];
 }
 
-std::uint64_t ChordOverlay::arc_length(NodeId v) const noexcept {
-  // v owns (id_of(predecessor), id_of(v)]: arc length = id(v) - id(pred) mod ring.
-  const std::uint32_t pos = ring_pos_[v];
-  const std::uint64_t prev = sorted_ids_[(pos + n_ - 1) % n_];
-  return (ids_[v] - prev) & (ring_size() - 1);
-}
-
 bool ChordOverlay::in_open_interval(std::uint64_t x, std::uint64_t a,
                                     std::uint64_t b) const noexcept {
   // x in (a, b) clockwise on the ring; empty when a == b.
@@ -142,24 +135,6 @@ NodeId ChordOverlay::next_hop(NodeId v, std::uint64_t key) const noexcept {
     if (c != v && in_open_interval(ids_[c], ids_[v], key)) return c;
   }
   return successor(v);
-}
-
-std::vector<NodeId> ChordOverlay::route(NodeId src, std::uint64_t key) const {
-  std::vector<NodeId> path{src};
-  NodeId v = src;
-  // 2m is a generous hard cap; greedy Chord routing halves the clockwise
-  // distance per hop, so the loop terminates well before it.
-  for (std::uint32_t guard = 0; guard < 2 * m_ + 2; ++guard) {
-    const NodeId nxt = next_hop(v, key);
-    if (nxt == v) break;
-    path.push_back(nxt);
-    v = nxt;
-  }
-  return path;
-}
-
-std::uint32_t ChordOverlay::route_hops(NodeId src, std::uint64_t key) const {
-  return static_cast<std::uint32_t>(route(src, key).size() - 1);
 }
 
 std::uint32_t ChordOverlay::smear_width() const noexcept {

@@ -65,18 +65,9 @@ class ChordOverlay {
     return fingers_.data() + static_cast<std::size_t>(v) * m_;
   }
 
-  /// Length of the arc (number of ring points) owned by v.
-  [[nodiscard]] std::uint64_t arc_length(NodeId v) const noexcept;
-
   /// Greedy routing step from v toward key's owner; returns v itself when
   /// v already owns the key.
   [[nodiscard]] NodeId next_hop(NodeId v, std::uint64_t key) const noexcept;
-
-  /// Full greedy route src -> owner(key), inclusive of both endpoints.
-  [[nodiscard]] std::vector<NodeId> route(NodeId src, std::uint64_t key) const;
-
-  /// Number of overlay hops of route(src, key).
-  [[nodiscard]] std::uint32_t route_hops(NodeId src, std::uint64_t key) const;
 
   /// Successor-walk width S of the sampler: max(8, ceil(log2 n)).
   [[nodiscard]] std::uint32_t smear_width() const noexcept;

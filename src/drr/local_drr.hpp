@@ -41,7 +41,11 @@ struct LocalDrrResult {
 };
 
 /// Runs Local-DRR on an explicit graph.  Deterministic in
-/// (graph, rngs root seed, scenario, config).
+/// (graph, rngs root seed, scenario, config).  A schedule inside
+/// FaultSchedule::paper_model() (no faults, or per-call loss plus a crash
+/// set fixed at round 0) runs on a flat lockstep executor; churn, block
+/// crashes, joins, partitions and latency run on sim::Network.  Both paths
+/// give bit-identical results wherever both apply.
 [[nodiscard]] LocalDrrResult run_local_drr(const Graph& g, const RngFactory& rngs,
                                            const sim::Scenario& scenario = {},
                                            LocalDrrConfig config = {});

@@ -1,7 +1,8 @@
 #pragma once
 // sim::CallFaults -- §2's fault model resolved one call at a time, for the
-// flat lockstep executors (run_drr_flat, run_convergecast_flat,
-// run_broadcast_flat and rootgossip::run_flat_root_gossip).
+// flat lockstep executors (run_drr_flat, run_local_drr_flat,
+// run_convergecast_flat, run_broadcast_flat and
+// rootgossip::run_flat_root_gossip).
 //
 // Under FaultSchedule::paper_model() a call can fail in exactly two ways:
 // its destination is in the crash set fixed at round 0, or its loss coin

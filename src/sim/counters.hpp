@@ -194,13 +194,14 @@ struct FaultSchedule {
   /// independently with probability loss_prob, and a crash set fixed at
   /// round 0 -- no churn, blocks, joins, partitions or latency (a
   /// fault-free schedule qualifies).  This is the dispatch predicate for
-  /// the flat lockstep executors -- run_drr_flat, run_convergecast_flat,
-  /// run_broadcast_flat and Phase III's run_flat_root_gossip (gossip-max,
-  /// data-spread and push-sum), which resolve both faults inline through
-  /// sim::CallFaults: under it, the generic engine path and the flat path
-  /// are step-for-step equivalent, so keep it the single source of truth
-  /// when extending the fault model.  sim::Network keeps the structured
-  /// adversity a lockstep loop cannot express.
+  /// the flat lockstep executors -- run_drr_flat, run_local_drr_flat,
+  /// run_convergecast_flat, run_broadcast_flat and Phase III's
+  /// run_flat_root_gossip (gossip-max, data-spread and push-sum), which
+  /// resolve both faults inline through sim::CallFaults: under it, the
+  /// generic engine path and the flat path are step-for-step equivalent,
+  /// so keep it the single source of truth when extending the fault
+  /// model.  sim::Network keeps the structured adversity a lockstep loop
+  /// cannot express.
   [[nodiscard]] bool paper_model() const noexcept {
     return !has_churn() && !has_blocks() && !has_partitions() && !has_joins() &&
            latency.zero();

@@ -53,7 +53,9 @@ TEST(Chord, SuccessorCyclesThroughAllNodes) {
 TEST(Chord, ArcLengthsSumToRing) {
   ChordOverlay c{128, 6};
   std::uint64_t total = 0;
-  for (NodeId v = 0; v < c.size(); ++v) total += c.arc_length(v);
+  // successor(v) owns the arc (id_of(v), id_of(successor(v))].
+  for (NodeId v = 0; v < c.size(); ++v)
+    total += (c.id_of(c.successor(v)) - c.id_of(v)) & (c.ring_size() - 1);
   EXPECT_EQ(total, c.ring_size());
 }
 
@@ -158,13 +160,32 @@ INSTANTIATE_TEST_SUITE_P(
                                      : std::to_string(info.param.second));
     });
 
+// Greedy route src -> owner(key) over next_hop, inclusive of both
+// endpoints.  2m + 2 hops is a generous hard cap: greedy Chord routing
+// halves the clockwise distance per hop, so the walk stops well before it.
+std::vector<NodeId> route(const ChordOverlay& c, NodeId src, std::uint64_t key) {
+  std::vector<NodeId> path{src};
+  NodeId v = src;
+  for (std::uint32_t guard = 0; guard < 2 * c.ring_bits() + 2; ++guard) {
+    const NodeId nxt = c.next_hop(v, key);
+    if (nxt == v) break;
+    path.push_back(nxt);
+    v = nxt;
+  }
+  return path;
+}
+
+std::uint32_t route_hops(const ChordOverlay& c, NodeId src, std::uint64_t key) {
+  return static_cast<std::uint32_t>(route(c, src, key).size() - 1);
+}
+
 TEST(Chord, RouteReachesOwner) {
   ChordOverlay c{512, 8};
   Rng rng{99};
   for (int i = 0; i < 500; ++i) {
     const auto src = static_cast<NodeId>(rng.next_below(c.size()));
     const std::uint64_t key = rng.next_below(c.ring_size());
-    const auto path = c.route(src, key);
+    const auto path = route(c, src, key);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), src);
     EXPECT_EQ(path.back(), c.owner_of_key(key));
@@ -180,7 +201,7 @@ TEST(Chord, RouteHopsLogarithmic) {
   for (int i = 0; i < trials; ++i) {
     const auto src = static_cast<NodeId>(rng.next_below(c.size()));
     const std::uint64_t key = rng.next_below(c.ring_size());
-    const std::uint32_t h = c.route_hops(src, key);
+    const std::uint32_t h = route_hops(c, src, key);
     max_hops = std::max(max_hops, h);
     total += h;
   }
@@ -192,7 +213,7 @@ TEST(Chord, RouteHopsLogarithmic) {
 TEST(Chord, RouteFromOwnerIsZeroHops) {
   ChordOverlay c{64, 10};
   const std::uint64_t key = c.id_of(5);
-  EXPECT_EQ(c.route_hops(5, key), 0u);
+  EXPECT_EQ(route_hops(c, 5, key), 0u);
 }
 
 TEST(Chord, SmearWidthLogarithmic) {

@@ -30,14 +30,19 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "aggregate/sparse.hpp"
 #include "api/registry.hpp"
 #include "api/report_hash.hpp"
+#include "chord/chord.hpp"
 #include "drr/drr.hpp"
+#include "drr/local_drr.hpp"
 #include "rootgossip/gossip_ave.hpp"
 #include "rootgossip/gossip_max.hpp"
 #include "rootgossip/ordered_key.hpp"
+#include "sim/topology.hpp"
 #include "support/parallel.hpp"
 #include "trees/broadcast.hpp"
 #include "trees/convergecast.hpp"
@@ -213,10 +218,10 @@ TEST(GoldenDeterminism, GridSweepIsThreadCountInvariant) {
     EXPECT_EQ(api::sweep_checksum(api::run_trials("drr", spec, 3, threads)), h1);
 }
 
-// The flat executors (run_drr_flat, run_convergecast_flat,
-// run_broadcast_flat and Phase III's run_flat_root_gossip) must agree with
-// the generic engine path field for field, fault-free and under the
-// paper's fault model alike.  A churn event far past every run's horizon
+// The flat executors (run_drr_flat, run_local_drr_flat,
+// run_convergecast_flat, run_broadcast_flat and Phase III's
+// run_flat_root_gossip) must agree with the generic engine path field for
+// field, fault-free and under the paper's fault model alike.  A churn event far past every run's horizon
 // forces the engine path (the schedule leaves paper_model()) without
 // changing anything observable: it never fires, and its victims are drawn
 // after the round-0 crash set, which stays the same.
@@ -438,6 +443,56 @@ TEST(GoldenDeterminism, FlatDrrMatchesEngineOnConnectExhaustion) {
       EXPECT_EQ(a.rounds, b.rounds) << what;
       // The cap bites: more roots than the default cap leaves.
       EXPECT_GT(a.forest.num_trees(), run_drr(n, rngs, flat).forest.num_trees()) << what;
+    }
+  }
+}
+
+// Local-DRR (the sparse pipeline's Phase I), called directly on the Chord
+// overlay's link graph and on the grid, chord-ring and random-regular
+// graphs: under loss x crash, and at loss 0.6, where connects run out of
+// attempts, with one to three exchange rounds and two connect caps.
+TEST(GoldenDeterminism, FlatLocalDrrMatchesEnginePath) {
+  const std::uint32_t n = 256;
+  const RngFactory rngs{61};
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("chord-overlay", overlay_graph(ChordOverlay{n, 11}));
+  for (const sim::TopologyKind kind : {sim::TopologyKind::kGrid2d, sim::TopologyKind::kChordRing,
+                                       sim::TopologyKind::kRandomRegular}) {
+    graphs.emplace_back(std::string{sim::to_string(kind)},
+                        *sim::make_topology({kind}, n, 5).graph());
+  }
+  std::vector<sim::FaultSchedule> schedules;
+  for (const double loss : {kLosses[0], kLosses[1], kLosses[2], 0.6}) {
+    for (const double crash : kCrashes) schedules.emplace_back(loss, crash);
+  }
+  for (const auto& [name, g] : graphs) {
+    for (const sim::FaultSchedule& faults : schedules) {
+      const sim::Scenario flat{sim::Topology::of_graph(g), faults};
+      const sim::Scenario engine{flat.topology, engine_forcing(faults)};
+      for (const std::uint32_t exchange : {1u, 2u, 3u}) {
+        std::size_t roots_at_cap[2] = {0, 0};
+        for (const std::uint32_t cap : {2u, 8u}) {
+          const std::string what = name + " " + fault_label(faults.loss_prob,
+                                                            faults.crash_fraction) +
+                                   " exchange " + std::to_string(exchange) + " cap " +
+                                   std::to_string(cap);
+          LocalDrrConfig config;
+          config.exchange_rounds = exchange;
+          config.connect_attempt_cap = cap;
+          const LocalDrrResult a = run_local_drr(g, rngs, flat, config);
+          const LocalDrrResult b = run_local_drr(g, rngs, engine, config);
+          expect_same_forest(a.forest, b.forest, what);
+          EXPECT_EQ(bit_patterns(a.ranks), bit_patterns(b.ranks)) << what;
+          expect_same_counters(a.counters, b.counters, what);
+          EXPECT_EQ(a.rounds, b.rounds) << what;
+          roots_at_cap[cap == 2u ? 0 : 1] = a.forest.num_trees();
+        }
+        if (faults.loss_prob == 0.6) {
+          EXPECT_GT(roots_at_cap[0], roots_at_cap[1])
+              << name << " " << fault_label(0.6, faults.crash_fraction) << " exchange "
+              << exchange << ": cap 2 should leave more roots than cap 8";
+        }
+      }
     }
   }
 }

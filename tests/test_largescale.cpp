@@ -14,8 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,27 +21,11 @@
 #include "api/registry.hpp"
 #include "api/report_hash.hpp"
 #include "sim/topology.hpp"
+#include "support/peak_rss.hpp"
 #include "topology/builders.hpp"
 
 namespace drrg {
 namespace {
-
-/// Peak resident set (VmHWM) of this process in MiB, from /proc/self/status;
-/// 0 when unreadable (non-Linux), which disables the budget assertions.
-std::size_t peak_rss_mib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::size_t kib = 0;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      std::sscanf(line + 6, "%zu", &kib);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kib / 1024;
-}
 
 sim::Topology build(sim::TopologyKind kind, sim::TopologyBackend backend,
                     std::uint32_t n, bool torus = false) {
@@ -268,8 +250,9 @@ TEST(MillionNodeSmoke, DensePushSumCompletes) {
   const api::RunReport r = api::run("uniform", spec);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_LT(r.rel_error(), 1e-9);
-  const std::size_t rss = peak_rss_mib();
-  if (rss != 0) {
+  // 0 when VmHWM is unreadable (non-Linux): no budget to check then.
+  const double rss = support::peak_rss_mib();
+  if (rss != 0.0) {
     EXPECT_LT(rss, kRssBudgetMib);
   }
 }
@@ -287,8 +270,9 @@ TEST(MillionNodeSmoke, ImplicitChordDrrCompletes) {
   // O(n log n) messages: c * n * log2(n) with a generous constant.
   const double nlogn = static_cast<double>(kMillion) * 20.0;
   EXPECT_LT(static_cast<double>(r.cost.sent), 8.0 * nlogn);
-  const std::size_t rss = peak_rss_mib();
-  if (rss != 0) {
+  // 0 when VmHWM is unreadable (non-Linux): no budget to check then.
+  const double rss = support::peak_rss_mib();
+  if (rss != 0.0) {
     EXPECT_LT(rss, kRssBudgetMib);
   }
 }

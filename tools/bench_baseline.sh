@@ -14,7 +14,8 @@
 #      port) under the same timing + hash discipline;
 #   2. the n-sweep scaling family (single runs at n = 65536 ... 16M,
 #      dense push-sum + implicit chord-ring DRR) with wall clock, peak
-#      RSS and the msgs/(n log n), rounds/log n scaling ratios;
+#      RSS (the CLI's own VmHWM, from --peak-rss) and the msgs/(n log n),
+#      rounds/log n scaling ratios;
 #   3. bench_table1 --table1_json on the pinned config matrix
 #      (n in {256, 1024, 4096}, complete + grid) -- the ops counters
 #      (rounds/msgs) the CI golden check pins;
@@ -121,17 +122,18 @@ fi
 run_nsweep_point() {
   local ALGO="$1" TOPO_LABEL="$2" N="$3"; shift 3
   python3 - "$CLI" "$ALGO" "$TOPO_LABEL" "$N" "$@" >> "$TMP/rows.json" <<'PY'
-import json, math, resource, subprocess, sys, time
+import json, math, subprocess, sys, time
 cli, algo, topo_label, n = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
 args = [cli, "--algo", algo, "--agg", "ave", "--n", str(n), "--seed", "1",
-        "--json"] + sys.argv[5:]
+        "--json", "--peak-rss"] + sys.argv[5:]
 t0 = time.monotonic()
 out = subprocess.run(args, capture_output=True, text=True, check=True).stdout
 wall = time.monotonic() - t0
-# ru_maxrss of the child CLI process (KiB on Linux); this python process
-# runs exactly one child, so RUSAGE_CHILDREN is that run's peak.
-rss_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+# The CLI's own VmHWM.  Not RUSAGE_CHILDREN: a child started by exec keeps
+# the ru_maxrss of the image it replaced, so that would report at least
+# this Python interpreter's footprint.
 r = json.loads(out)
+rss_mib = r["peak_rss_mib"]
 logn = math.log2(n)
 row = {"bench": "n_sweep", "algo": algo, "topology": topo_label,
        "backend": r.get("backend", "none"), "n": n,

@@ -8,6 +8,7 @@
 //   drrg_cli --algo drr --agg ave --n 4096 --topology chord-ring --json
 //   drrg_cli --algo drr --agg count --n 4096 --churn 10:0.1,20:0.1 --csv
 //   drrg_cli --algo drr --agg ave --trials 32 --threads 8
+//   drrg_cli --algo uniform --agg ave --n 65536 --json --peak-rss
 //   drrg_cli --list
 //
 // Dispatch and --list are driven by the drrg::api::Registry: an algorithm
@@ -21,6 +22,7 @@
 
 #include "api/registry.hpp"
 #include "api/scenario_text.hpp"
+#include "support/peak_rss.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -55,6 +57,7 @@ struct Options {
   std::string latency_text;
   bool csv = false;
   bool json = false;
+  bool peak_rss = false;
 };
 
 [[noreturn]] void usage(int code) {
@@ -78,7 +81,7 @@ struct Options {
                "                [--diam-mult M] [--pipeline dense|sparse]\n"
                "                [--transport sim|udp] [--bind-port P] [--seed-list L]\n"
                "                [--chaos SPEC] [--round-ms MS]\n"
-               "                [--csv] [--json] [--list]\n"
+               "                [--csv] [--json] [--peak-rss] [--list]\n"
                "  A: %s\n"
                "  G: %s\n"
                "  P: %s\n"
@@ -113,7 +116,9 @@ struct Options {
                "  --round-ms maps scheduled rounds onto the udp wall clock\n"
                "      (block-crash -> real SIGKILL, partition -> timed cut,\n"
                "      join -> late spawn, latency -> per-datagram delay);\n"
-               "      defaults to 250 when such a schedule needs it\n",
+               "      defaults to 250 when such a schedule needs it\n"
+               "  --peak-rss adds this process's peak resident set (VmHWM, MiB)\n"
+               "      to every --json line as \"peak_rss_mib\"\n",
                algos.c_str(), aggs.c_str(), drrg::api::topology_names().c_str());
   std::exit(code);
 }
@@ -270,6 +275,7 @@ Options parse(int argc, char** argv) {
     }
     else if (arg == "--csv") opt.csv = true;
     else if (arg == "--json") opt.json = true;
+    else if (arg == "--peak-rss") opt.peak_rss = true;
     else if (arg == "--list") { list_matrix(); std::exit(0); }
     else if (arg == "--help" || arg == "-h") usage(0);
     else {
@@ -285,6 +291,8 @@ Options parse(int argc, char** argv) {
     std::fprintf(stderr, "--csv and --json are mutually exclusive\n");
     usage(2);
   }
+  if (opt.peak_rss && !opt.json)
+    std::fprintf(stderr, "--peak-rss only applies to --json (ignored)\n");
   if (opt.trials < 1) opt.trials = 1;
   return opt;
 }
@@ -313,6 +321,11 @@ std::string topology_extras_json(const drrg::api::RunSpec& spec) {
 
 void print_json(const Options& opt, const drrg::api::RunSpec& spec,
                 const drrg::api::RunReport& r) {
+  // Opt-in, so the default line stays byte-identical across versions.
+  char peak_rss[48] = "";
+  if (opt.peak_rss)
+    std::snprintf(peak_rss, sizeof peak_rss, ",\"peak_rss_mib\":%.1f",
+                  drrg::support::peak_rss_mib());
   std::printf("{\"algo\":\"%s\",\"agg\":\"%s\",\"n\":%u,\"seed\":%llu,"
               "\"pipeline\":\"%s\",\"transport\":\"%s\","
               "\"topology\":\"%s\"%s,\"loss\":%.4f,\"crash\":%.4f,\"churn\":\"%s\","
@@ -320,7 +333,7 @@ void print_json(const Options& opt, const drrg::api::RunSpec& spec,
               "\"latency\":\"%s\",\"chaos\":\"%s\","
               "\"value\":%.17g,\"truth\":%.17g,"
               "\"abs_error\":%.17g,\"rel_error\":%.17g,\"consensus\":%s,"
-              "\"messages\":%llu,\"delivered\":%llu,\"bits\":%llu,\"rounds\":%u}\n",
+              "\"messages\":%llu,\"delivered\":%llu,\"bits\":%llu,\"rounds\":%u%s}\n",
               r.algorithm.c_str(), std::string{drrg::api::to_string(r.aggregate)}.c_str(),
               r.n, static_cast<unsigned long long>(r.seed),
               std::string{drrg::api::to_string(opt.pipeline)}.c_str(),
@@ -336,7 +349,7 @@ void print_json(const Options& opt, const drrg::api::RunSpec& spec,
               r.consensus ? "true" : "false",
               static_cast<unsigned long long>(r.cost.sent),
               static_cast<unsigned long long>(r.cost.delivered),
-              static_cast<unsigned long long>(r.cost.bits), r.rounds);
+              static_cast<unsigned long long>(r.cost.bits), r.rounds, peak_rss);
 }
 
 }  // namespace
