@@ -1,7 +1,7 @@
 // Experiment E -- engine micro-benchmarks for the perf trajectory.
 //
-// Unlike the paper-reproduction benches (whose counters are the claims),
-// these cases measure the *simulator itself*: wall-clock throughput of the
+// Unlike bench_table1 (whose counters are Table 1's claims), these cases
+// measure the *simulator itself*: wall-clock throughput of the
 // hot path in rounds/sec and messages/sec per topology, and heap
 // allocations per run (the pooled-queue engine should hold this constant
 // in rounds: steady-state rounds allocate nothing).  Three cases run the
@@ -22,7 +22,6 @@
 
 #include "aggregate/sparse.hpp"
 #include "api/registry.hpp"
-#include "bench_common.hpp"
 #include "chord/chord.hpp"
 #include "support/alloc_counter.hpp"
 

@@ -36,7 +36,6 @@
 
 #include "api/registry.hpp"
 #include "api/scenario_text.hpp"
-#include "bench_common.hpp"
 #include "support/mathutil.hpp"
 
 namespace drrg {

@@ -33,7 +33,6 @@
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "topology/builders.hpp"
 #include "topology/graph.hpp"

@@ -9,28 +9,9 @@ double log2_clamped(double n) noexcept {
   return v < 1.0 ? 1.0 : v;
 }
 
-double ln_clamped(double n) noexcept {
-  const double v = std::log(n);
-  return v < 1.0 ? 1.0 : v;
-}
-
 double loglog2_clamped(double n) noexcept {
   const double v = std::log2(log2_clamped(n));
   return v < 1.0 ? 1.0 : v;
-}
-
-double harmonic(std::uint64_t n) noexcept {
-  // Exact for small n; Euler-Maclaurin beyond 1e6 keeps this O(1) while
-  // staying far below 1e-12 relative error.
-  if (n == 0) return 0.0;
-  if (n <= 1'000'000) {
-    double h = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i) h += 1.0 / static_cast<double>(i);
-    return h;
-  }
-  constexpr double kEulerGamma = 0.57721566490153286060651209;
-  const double x = static_cast<double>(n);
-  return std::log(x) + kEulerGamma + 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x);
 }
 
 }  // namespace drrg

@@ -13,12 +13,6 @@ std::vector<double> make_values(std::uint32_t n, std::uint64_t seed, ValueRange 
   return v;
 }
 
-std::vector<std::uint64_t> trial_seeds(int trials, std::uint64_t base) {
-  std::vector<std::uint64_t> s(static_cast<std::size_t>(trials > 0 ? trials : 0));
-  for (std::size_t i = 0; i < s.size(); ++i) s[i] = base + i;
-  return s;
-}
-
 Truth compute_truth(std::span<const double> values,
                     const std::vector<bool>& participating, double rank_threshold) {
   std::vector<double> live;

@@ -1,13 +1,13 @@
 #pragma once
 // Shared synthetic-workload generation and ground-truth computation.
 //
-// Every consumer of the library -- the CLI, the bench harnesses, the
-// examples and the tests -- needs the same two ingredients: a
-// deterministic vector of per-node values derived from a seed, and the
-// exact aggregate of those values over the surviving nodes to compare
-// the protocol's output against.  This is the single implementation all
-// of them share (the api::Registry adapters call compute_truth for the
-// RunReport's truth/error fields).
+// Every consumer of the library -- the CLI, the benchmarks, the examples
+// and the tests -- needs the same two ingredients: a deterministic vector
+// of per-node values derived from a seed, and the exact aggregate of
+// those values over the surviving nodes to compare the protocol's output
+// against.  This is the single implementation all of them share (the
+// api::Registry adapters call compute_truth for the RunReport's
+// truth/error fields).
 
 #include <cstdint>
 #include <span>
@@ -27,14 +27,9 @@ struct ValueRange {
 [[nodiscard]] constexpr ValueRange positive_range() noexcept { return {1.0, 100.0}; }
 
 /// Deterministic per-node values: node v's value depends only on
-/// (seed, v, range).  Identical to the historical bench::make_values
-/// stream for the default range.
+/// (seed, v, range).
 [[nodiscard]] std::vector<double> make_values(std::uint32_t n, std::uint64_t seed,
                                               ValueRange range = {});
-
-/// Seeds used for Monte-Carlo repetition inside one experiment.
-[[nodiscard]] std::vector<std::uint64_t> trial_seeds(int trials,
-                                                     std::uint64_t base = 1000);
 
 /// Exact aggregates over the participating nodes.
 struct Truth {

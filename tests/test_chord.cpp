@@ -14,7 +14,6 @@
 #include "chord/chord.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 
 namespace drrg {
 namespace {

@@ -119,15 +119,19 @@ TEST(DrrTheorem4, ProbesPerNodeIsLogLog) {
 }
 
 TEST(DrrTheorem4, MessagesScaleAsNLogLog) {
-  // messages / (n log log n) should stay bounded as n grows 256x.
-  const DrrResult small = run(256, 9);
-  const DrrResult big = run(65536, 9);
-  const double c_small =
-      static_cast<double>(small.counters.sent) / (256.0 * loglog2_clamped(256));
-  const double c_big =
-      static_cast<double>(big.counters.sent) / (65536.0 * loglog2_clamped(65536));
-  EXPECT_LT(c_big, 3.0 * c_small);
-  EXPECT_GT(c_big, c_small / 3.0);
+  // messages / (n log log n) should stay bounded as n grows 256x, both
+  // fault-free and at the model's loss ceiling delta = 1/8.
+  for (const double delta : {0.0, 0.125}) {
+    const sim::FaultSchedule faults{delta, 0.0};
+    const DrrResult small = run(256, 9, faults);
+    const DrrResult big = run(65536, 9, faults);
+    const double c_small =
+        static_cast<double>(small.counters.sent) / (256.0 * loglog2_clamped(256));
+    const double c_big =
+        static_cast<double>(big.counters.sent) / (65536.0 * loglog2_clamped(65536));
+    EXPECT_LT(c_big, 3.0 * c_small) << delta;
+    EXPECT_GT(c_big, c_small / 3.0) << delta;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -198,17 +198,22 @@ TEST(SparsePipeline, Theorem14MessagesNLogN) {
 
 TEST(SparsePipeline, BeatsUniformGossipOnMessages) {
   // The §4 headline: DRR-gossip needs a log n factor fewer messages than
-  // uniform gossip on the same overlay.
-  const std::uint32_t n = 2048;
-  ChordOverlay chord{n, 12};
-  const Graph links = overlay_graph(chord);
-  const auto values = make_values(n, 700);
-  const auto drr = sparse_drr_gossip_max(chord, links, values, 12);
-  const auto uni = chord_uniform_push_max(chord, values, 12);
-  EXPECT_TRUE(drr.consensus);
-  EXPECT_TRUE(uni.consensus);
-  EXPECT_LT(static_cast<double>(drr.metrics.total().sent) * 2.0,
-            static_cast<double>(uni.counters.sent));
+  // uniform gossip on the same overlay, so the uniform/DRR message ratio
+  // grows with n.
+  std::vector<double> ratios;
+  for (const std::uint32_t n : {512u, 2048u}) {
+    ChordOverlay chord{n, 12};
+    const Graph links = overlay_graph(chord);
+    const auto values = make_values(n, 700);
+    const auto drr = sparse_drr_gossip_max(chord, links, values, 12);
+    const auto uni = chord_uniform_push_max(chord, values, 12);
+    EXPECT_TRUE(drr.consensus) << n;
+    EXPECT_TRUE(uni.consensus) << n;
+    const auto drr_msgs = static_cast<double>(drr.metrics.total().sent);
+    EXPECT_LT(drr_msgs * 2.0, static_cast<double>(uni.counters.sent)) << n;
+    ratios.push_back(static_cast<double>(uni.counters.sent) / drr_msgs);
+  }
+  EXPECT_GT(ratios[1], 1.1 * ratios[0]) << ratios[0] << " -> " << ratios[1];
 }
 
 TEST(SparsePipeline, Deterministic) {

@@ -2,10 +2,10 @@
 //
 //   * Theorem 11: every tree Local-DRR produces has height O(log n) on
 //     any graph -- pinned as max-over-seeds height <= 1.5 * log2 n on the
-//     Chord overlay, the grid and a random-regular graph (the measured
-//     maxima sit near 0.6 * log2 n, so the bound has real teeth: any
-//     height linear in n, or even polylog with a larger exponent, trips
-//     it at these sizes).
+//     Chord overlay, the grid, a random-regular graph and the path (the
+//     measured maxima sit near 0.6 * log2 n, so the bound has real teeth:
+//     any height linear in n, or even polylog with a larger exponent,
+//     trips it at these sizes).
 //   * Theorem 13: E[#trees] = sum_i 1/(d_i + 1).  A node roots exactly
 //     when it is a local rank maximum, which happens with probability
 //     1/(d_i + 1) for i.i.d. ranks; the sample mean over seeds must sit
@@ -31,6 +31,7 @@
 #include "sim/topology.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
+#include "topology/builders.hpp"
 
 namespace drrg {
 namespace {
@@ -53,6 +54,7 @@ std::vector<GraphCase> theorem_graphs() {
     spec.degree = 8;
     cases.push_back({"random-regular-4k", *sim::make_topology(spec, 4096, 3).graph()});
   }
+  cases.push_back({"path-4k", make_path(4096)});
   return cases;
 }
 

@@ -1,18 +1,31 @@
-// Unit tests for the support layer: RNG, math helpers, statistics, tables.
+// Unit tests for the support layer: RNG, math helpers, tables.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace drrg {
 namespace {
+
+/// Sample mean and standard deviation of `count` draws.
+template <class Draw>
+std::pair<double, double> mean_and_stddev(int count, Draw draw) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (int i = 0; i < count; ++i) {
+    const double x = draw();
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / count;
+  return {mean, std::sqrt((sum_sq - count * mean * mean) / (count - 1))};
+}
 
 // ---------------------------------------------------------------------------
 // Rng
@@ -41,10 +54,9 @@ TEST(Rng, UnitIntervalRange) {
 
 TEST(Rng, UnitIntervalMean) {
   Rng r{7};
-  RunningStat s;
-  for (int i = 0; i < 200000; ++i) s.add(r.next_unit());
-  EXPECT_NEAR(s.mean(), 0.5, 0.01);
-  EXPECT_NEAR(s.stddev(), std::sqrt(1.0 / 12.0), 0.01);
+  const auto [mean, stddev] = mean_and_stddev(200000, [&r] { return r.next_unit(); });
+  EXPECT_NEAR(mean, 0.5, 0.01);
+  EXPECT_NEAR(stddev, std::sqrt(1.0 / 12.0), 0.01);
 }
 
 TEST(Rng, NextBelowInRangeAndUnbiased) {
@@ -56,7 +68,9 @@ TEST(Rng, NextBelowInRangeAndUnbiased) {
     ++counts[v];
   }
   // Chi-square with 9 dof: 99.99th percentile is ~33.7.
-  EXPECT_LT(chi_square_uniform(counts), 40.0);
+  double chi_square = 0.0;
+  for (const std::uint64_t c : counts) chi_square += (c - 10000.0) * (c - 10000.0) / 10000.0;
+  EXPECT_LT(chi_square, 40.0);
 }
 
 TEST(Rng, NextBelowOneIsZero) {
@@ -87,10 +101,9 @@ TEST(Rng, BernoulliFrequency) {
 
 TEST(Rng, NormalMoments) {
   Rng r{29};
-  RunningStat s;
-  for (int i = 0; i < 200000; ++i) s.add(r.next_normal());
-  EXPECT_NEAR(s.mean(), 0.0, 0.02);
-  EXPECT_NEAR(s.stddev(), 1.0, 0.02);
+  const auto [mean, stddev] = mean_and_stddev(200000, [&r] { return r.next_normal(); });
+  EXPECT_NEAR(mean, 0.0, 0.02);
+  EXPECT_NEAR(stddev, 1.0, 0.02);
 }
 
 TEST(RngFactory, NodeStreamsIndependent) {
@@ -145,38 +158,12 @@ TEST(MathUtil, CeilLog2) {
   EXPECT_EQ(ceil_log2(1025), 11u);
 }
 
-TEST(MathUtil, NextPow2) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(3), 4u);
-  EXPECT_EQ(next_pow2(1024), 1024u);
-  EXPECT_EQ(next_pow2(1025), 2048u);
-}
-
-TEST(MathUtil, IsPow2) {
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(65));
-}
-
 TEST(MathUtil, ClampedLogsAtLeastOne) {
   EXPECT_DOUBLE_EQ(log2_clamped(2.0), 1.0);
   EXPECT_DOUBLE_EQ(log2_clamped(1.0), 1.0);
   EXPECT_NEAR(log2_clamped(1024.0), 10.0, 1e-12);
   EXPECT_DOUBLE_EQ(loglog2_clamped(4.0), 1.0);
   EXPECT_NEAR(loglog2_clamped(65536.0), 4.0, 1e-12);
-  EXPECT_GE(ln_clamped(1.5), 1.0);
-}
-
-TEST(MathUtil, HarmonicSmall) {
-  EXPECT_DOUBLE_EQ(harmonic(0), 0.0);
-  EXPECT_DOUBLE_EQ(harmonic(1), 1.0);
-  EXPECT_NEAR(harmonic(4), 1.0 + 0.5 + 1.0 / 3 + 0.25, 1e-12);
-}
-
-TEST(MathUtil, HarmonicAsymptotic) {
-  // H_n ~ ln n + gamma.
-  EXPECT_NEAR(harmonic(10'000'000), std::log(1e7) + 0.5772156649, 1e-6);
 }
 
 TEST(MathUtil, DrrProbeBudget) {
@@ -189,89 +176,6 @@ TEST(MathUtil, AddressBits) {
   EXPECT_EQ(address_bits(2), 1u);
   EXPECT_EQ(address_bits(1024), 10u);
   EXPECT_EQ(address_bits(1025), 11u);
-}
-
-// ---------------------------------------------------------------------------
-// stats
-
-TEST(RunningStat, MatchesClosedForm) {
-  RunningStat s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(RunningStat, SingleSample) {
-  RunningStat s;
-  s.add(7.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.ci95_halfwidth(), 0.0);
-}
-
-TEST(Summarize, Quantiles) {
-  std::vector<double> v;
-  for (int i = 1; i <= 101; ++i) v.push_back(i);
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.median, 51.0);
-  EXPECT_DOUBLE_EQ(s.q25, 26.0);
-  EXPECT_DOUBLE_EQ(s.q75, 76.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 101.0);
-}
-
-TEST(QuantileSorted, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(quantile_sorted(v, 1.0), 10.0);
-}
-
-TEST(FitLinear, ExactLine) {
-  std::vector<double> xs{1, 2, 3, 4}, ys{3, 5, 7, 9};  // y = 1 + 2x
-  const LinearFit f = fit_linear(xs, ys);
-  EXPECT_NEAR(f.slope, 2.0, 1e-12);
-  EXPECT_NEAR(f.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(f.r2, 1.0, 1e-12);
-}
-
-TEST(FitPowerLaw, RecoversExponent) {
-  std::vector<double> xs, ys;
-  for (double x : {10.0, 100.0, 1000.0, 10000.0}) {
-    xs.push_back(x);
-    ys.push_back(3.0 * std::pow(x, 1.5));
-  }
-  const LinearFit f = fit_power_law(xs, ys);
-  EXPECT_NEAR(f.slope, 1.5, 1e-9);  // exponent
-  EXPECT_NEAR(f.r2, 1.0, 1e-9);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-1.0);  // clamps into first
-  h.add(0.5);
-  h.add(9.9);
-  h.add(42.0);  // clamps into last
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(ChiSquareUniform, ZeroForPerfectlyUniform) {
-  std::vector<std::uint64_t> counts(10, 100);
-  EXPECT_DOUBLE_EQ(chi_square_uniform(counts), 0.0);
-}
-
-TEST(ChiSquareUniform, LargeForSkewed) {
-  std::vector<std::uint64_t> counts(10, 0);
-  counts[0] = 1000;
-  EXPECT_GT(chi_square_uniform(counts), 1000.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # bench_baseline.sh -- the pinned engine-performance baseline.
 #
-# Runs three things against a Release build and folds every row into one
+# Runs four things against a Release build and folds every row into one
 # machine-readable JSON-lines file (default BENCH_engine.json), the perf
 # trajectory future PRs diff against:
 #
 #   1. the pinned CLI sweep (drr/ave, n = 4096, 64 trials, complete + grid,
 #      --threads = hardware cores; grid pinned at --diam-mult 0 so the
 #      logical work is identical across PRs regardless of the default
-#      Phase III budget), timed as min-of-3 wall clock, with a
-#      threads-1-vs-threads-4 output hash proving bit-identical reports,
-#      plus the sparse-pipeline sweep point (chord-drr/ave on the engine
-#      port) under the same timing + hash discipline;
-#   2. the n-sweep scaling family (single runs at n = 65536 ... 16M,
-#      dense push-sum + implicit chord-ring DRR) with wall clock, peak
-#      RSS (the CLI's own VmHWM, from --peak-rss) and the msgs/(n log n),
-#      rounds/log n scaling ratios;
+#      Phase III budget), timed as min-of-5 wall clock (one run under
+#      SMOKE), with a threads-1-vs-threads-4 output hash proving
+#      bit-identical reports, plus the sparse-pipeline sweep point
+#      (chord-drr/ave on the engine port) under the same timing + hash
+#      discipline;
+#   2. the n-sweep scaling family (single runs at n = 65536 ... 16M):
+#      Table 1's separation on the complete graph (drr, uniform push-sum,
+#      efficient gossip) plus implicit chord-ring DRR, with wall clock,
+#      peak RSS (the CLI's own VmHWM, from --peak-rss) and the
+#      msgs/(n log n), msgs/(n log log n) and rounds/log n scaling ratios;
 #   3. bench_table1 --table1_json on the pinned config matrix
 #      (n in {256, 1024, 4096}, complete + grid) -- the ops counters
 #      (rounds/msgs) the CI golden check pins;
@@ -111,14 +113,16 @@ if [ "${SMOKE:-0}" != "1" ]; then
   run_sweep chord-overlay chord-drr 16384 "$SWEEP_TRIALS"
 fi
 
-# --- 1b. n-sweep family: single-run scaling rows ----------------------------
-# One trial per n, implicit backend forced on the structured substrate, so
-# the rows pin the scaling claims themselves: msgs/(n log2 n) and
-# rounds/log2 n stay flat as n grows, and peak RSS stays in the implicit
+# --- 2. n-sweep family: single-run scaling rows -----------------------------
+# One trial per (algo, topology, n).  The complete-graph rows are Table 1's
+# separation at scale: DRR-gossip's msgs/(n log2 log2 n) must not rise and
+# its message ratio over uniform push-sum must fall as n grows
+# (tools/check_bench_goldens.py checks both shapes).  The chord-ring row
+# forces the implicit backend, so its peak RSS stays in the implicit
 # envelope (a materialised CSR at 16M would add gigabytes).  SMOKE runs
-# 65536 only; the full baseline climbs 65536 -> 1M -> 4M -> 16M, skipping
-# any n the machine lacks memory for (~350 bytes/node budgeted) or that
-# exceeds NSWEEP_MAX.
+# 65536 and 262144; the full baseline climbs to 16M, skipping any row the
+# machine lacks memory for (each family's measured peak bytes per node,
+# rounded up) or whose n exceeds NSWEEP_MAX.
 run_nsweep_point() {
   local ALGO="$1" TOPO_LABEL="$2" N="$3"; shift 3
   python3 - "$CLI" "$ALGO" "$TOPO_LABEL" "$N" "$@" >> "$TMP/rows.json" <<'PY'
@@ -140,32 +144,43 @@ row = {"bench": "n_sweep", "algo": algo, "topology": topo_label,
        "wall_s": round(wall, 4), "peak_rss_mib": round(rss_mib, 1),
        "msgs": r["messages"], "rounds": r["rounds"],
        "msgs_per_nlog": round(r["messages"] / (n * logn), 4),
+       "msgs_per_nloglog": round(r["messages"] / (n * math.log2(logn)), 4),
        "rounds_per_log": round(r["rounds"] / logn, 4)}
 print(json.dumps(row, separators=(",", ":")))
 PY
 }
 
 if [ "${SMOKE:-0}" = "1" ]; then
-  NSWEEP_SIZES="65536"
+  NSWEEP_SIZES="65536 262144"
 else
-  NSWEEP_SIZES="65536 1048576 4194304 16777216"
+  NSWEEP_SIZES="65536 262144 1048576 4194304 16777216"
 fi
 NSWEEP_MAX="${NSWEEP_MAX:-16777216}"
 MEM_AVAIL_KIB=$(awk '/MemAvailable/ {print $2}' /proc/meminfo 2>/dev/null || echo 0)
+# Args: bytes per node budgeted, algo, topology label, n, extra CLI flags.
+run_nsweep_row() {
+  local BYTES="$1" ALGO="$2" TOPO_LABEL="$3" N="$4"
+  if [ "$MEM_AVAIL_KIB" != 0 ] && [ $((N * BYTES / 1024)) -gt "$MEM_AVAIL_KIB" ]; then
+    echo "bench_baseline: n_sweep skipping $ALGO/$TOPO_LABEL n=$N (MemAvailable too low)" >&2
+    return
+  fi
+  shift
+  run_nsweep_point "$@"
+}
 for N in $NSWEEP_SIZES; do
   if [ "$N" -gt "$NSWEEP_MAX" ]; then
     echo "bench_baseline: n_sweep skipping n=$N (NSWEEP_MAX=$NSWEEP_MAX)" >&2
     continue
   fi
-  if [ "$MEM_AVAIL_KIB" != 0 ] && [ $((N * 350 / 1024)) -gt "$MEM_AVAIL_KIB" ]; then
-    echo "bench_baseline: n_sweep skipping n=$N (MemAvailable too low)" >&2
-    continue
-  fi
-  run_nsweep_point uniform complete "$N"
-  run_nsweep_point drr chord-ring "$N" --topology chord-ring --backend implicit
+  # Measured peaks at 2^24: uniform ~118 B/node, drr ~230 (complete) and
+  # ~245 (chord-ring), efficient ~410.
+  run_nsweep_row 150 uniform complete "$N"
+  run_nsweep_row 300 drr chord-ring "$N" --topology chord-ring --backend implicit
+  run_nsweep_row 300 drr complete "$N"
+  run_nsweep_row 500 efficient complete "$N"
 done
 
-# --- 2. bench_table1 pinned matrix (ops counters for the CI goldens) --------
+# --- 3. bench_table1 pinned matrix (ops counters for the CI goldens) --------
 if [ -x "$TABLE1" ]; then
   for TOPO in complete grid; do
     "$TABLE1" --table1_topology="$TOPO" --table1_json="$TMP/t1.json" \
@@ -182,7 +197,7 @@ if [ -x "$TABLE1" ]; then
   done
 fi
 
-# --- 3. bench_engine micro-benchmarks ---------------------------------------
+# --- 4. bench_engine micro-benchmarks ---------------------------------------
 if [ -x "$ENGINE" ]; then
   "$ENGINE" --benchmark_format=json > "$TMP/engine.json" 2>/dev/null
   python3 - "$TMP/engine.json" >> "$TMP/rows.json" <<'PY'
@@ -205,7 +220,7 @@ for b in doc.get("benchmarks", []):
 PY
 fi
 
-# --- 4. join allocs_per_run into the engine_sweep rows ----------------------
+# --- fold: join allocs_per_run into the engine_sweep rows -------------------
 # The sweep rows time the CLI (which cannot count its own allocations);
 # bench_engine measures allocs_per_run for the same (topology, algo)
 # workloads.  Joining the micro counter onto the matching sweep row keys

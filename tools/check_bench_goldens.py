@@ -28,6 +28,12 @@ goldens (tests/golden/bench_table1_ops.json) on two axes:
     stay under 1.25x the golden footprint, which is what catches an
     accidental O(n log n) adjacency materialisation at scale.  Rows
     for sizes the fresh run skipped (SMOKE, low memory) are ignored.
+  * Table 1's separation, two shape checks over the fresh complete-graph
+    n_sweep rows, each ratio recomputed from msgs and n: DRR-gossip's
+    msgs/(n log2 log2 n) must not rise from one size to the next, and
+    its message ratio over uniform push-sum must fall as n grows.  Both
+    fail, rather than skip, when the fresh file has fewer than two
+    comparable sizes.
 
 Wall-clock fields are ignored (they are the point of the file, not a
 contract); throughput counters likewise -- only allocation counts are
@@ -38,6 +44,7 @@ Exit 0 on match, 1 on drift or missing rows.
 """
 
 import json
+import math
 import sys
 
 
@@ -72,7 +79,8 @@ def golden_rows(path):
                 micro_allocs[row["case"]] = row.get("allocs_per_run")
             elif row.get("bench") == "n_sweep":
                 key = (row["algo"], row.get("topology", "complete"), row["n"])
-                nsweep[key] = (row["msgs_per_nlog"], row.get("peak_rss_mib"))
+                nsweep[key] = (row["msgs_per_nlog"], row.get("peak_rss_mib"),
+                               row["msgs"])
     return table1, sweeps, micro_allocs, nsweep
 
 
@@ -80,12 +88,12 @@ def check_nsweep(fresh, golden):
     """Scaling-family gates; returns (failure count, rows checked)."""
     failures = 0
     checked = 0
-    for key, (want_ratio, want_rss) in sorted(golden.items()):
+    for key, (want_ratio, want_rss, _) in sorted(golden.items()):
         got = fresh.get(key)
         if got is None:
             continue  # skipped size (SMOKE matrix / low-memory machine)
         checked += 1
-        got_ratio, got_rss = got
+        got_ratio, got_rss, _ = got
         if want_ratio > 0 and abs(got_ratio - want_ratio) > 0.20 * want_ratio:
             print(f"NSWEEP-MSG-DRIFT {key}: msgs/(n log n) "
                   f"{want_ratio} -> {got_ratio} (>20% drift)")
@@ -96,6 +104,42 @@ def check_nsweep(fresh, golden):
                   f"{want_rss} -> {got_rss} (>1.25x golden)")
             failures += 1
     return failures, checked
+
+
+def check_separation(fresh):
+    """Table 1's shape over the fresh n_sweep rows; returns (failure count,
+    drr/complete sizes checked).  Ratios come from msgs and n, not from
+    the rows' stored columns."""
+    def msgs_of(algo):
+        return {n: got[2] for (a, topo, n), got in fresh.items()
+                if (a, topo) == (algo, "complete")}
+    drr, uniform = msgs_of("drr"), msgs_of("uniform")
+    sizes = sorted(drr)
+    if len(sizes) < 2:
+        print(f"SEPARATION-SHAPE: {len(sizes)} fresh drr/complete n_sweep "
+              "size(s); the shape checks need at least two")
+        return 1, len(sizes)
+    failures = 0
+    per_nloglog = [drr[n] / (n * math.log2(math.log2(n))) for n in sizes]
+    for i in range(1, len(sizes)):
+        if per_nloglog[i] > per_nloglog[i - 1]:
+            print(f"SEPARATION-SHAPE drr/complete: msgs/(n log log n) rises "
+                  f"from {per_nloglog[i - 1]:.4f} (n={sizes[i - 1]}) to "
+                  f"{per_nloglog[i]:.4f} (n={sizes[i]})")
+            failures += 1
+    shared = [n for n in sizes if n in uniform]
+    if len(shared) < 2:
+        print(f"SEPARATION-SHAPE: {len(shared)} size(s) with both drr/complete "
+              "and uniform/complete rows; the ratio check needs at least two")
+        return failures + 1, len(sizes)
+    ratio = [drr[n] / uniform[n] for n in shared]
+    for i in range(1, len(shared)):
+        if ratio[i] >= ratio[i - 1]:
+            print(f"SEPARATION-SHAPE drr/uniform message ratio does not fall: "
+                  f"{ratio[i - 1]:.4f} (n={shared[i - 1]}) -> "
+                  f"{ratio[i]:.4f} (n={shared[i]})")
+            failures += 1
+    return failures, len(sizes)
 
 
 def check_allocs(fresh, golden):
@@ -176,16 +220,19 @@ def main():
         print("check_bench_goldens: no fresh n_sweep row matches any golden "
               "n_sweep key", file=sys.stderr)
         failures += 1
+    shape_failures, shape_sizes = check_separation(fresh_ns)
+    failures += shape_failures
     checked = len(golden_t1)
     if failures:
         print(f"check_bench_goldens: {failures} failures "
               f"({checked} ops rows, {sweeps_checked} sweep hashes, "
-              f"{allocs_checked} alloc gates, {nsweep_checked} n-sweep rows "
-              "checked)")
+              f"{allocs_checked} alloc gates, {nsweep_checked} n-sweep rows, "
+              f"separation shape over {shape_sizes} sizes checked)")
         return 1
     print(f"check_bench_goldens: all {checked} ops rows, "
           f"{sweeps_checked} sweep hashes, {allocs_checked} alloc gates "
-          f"and {nsweep_checked} n-sweep rows match")
+          f"and {nsweep_checked} n-sweep rows match; separation shape holds "
+          f"over {shape_sizes} sizes")
     return 0
 
 

@@ -15,9 +15,14 @@
 // registered there is immediately runnable and listed here, with no CLI
 // changes.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -145,6 +150,29 @@ void list_matrix() {
   }
 }
 
+/// Parses the whole of `text` as a T: base-10 digits for an integer (a
+/// leading '-' only when T is signed), a finite decimal for a double.
+/// Anything else, or a value outside [lo, hi], exits 2 naming `flag`.
+template <class T>
+T parse_number(const char* flag, const char* text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc{} && ptr == end && lo <= value && value <= hi;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+    if (!ok) std::fprintf(stderr, "invalid value for %s: %s (want a finite number)\n",
+                          flag, text);
+  } else if (!ok) {
+    std::fprintf(stderr, "invalid value for %s: %s (want an integer in [%s, %s])\n",
+                 flag, text, std::to_string(lo).c_str(), std::to_string(hi).c_str());
+  }
+  if (!ok) usage(2);
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -158,14 +186,16 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--algo") opt.algo = next("--algo");
     else if (arg == "--agg") opt.agg = next("--agg");
-    else if (arg == "--n") opt.n = static_cast<std::uint32_t>(std::atoll(next("--n")));
-    else if (arg == "--seed") opt.seed = static_cast<std::uint64_t>(std::atoll(next("--seed")));
-    else if (arg == "--loss") opt.loss = std::atof(next("--loss"));
-    else if (arg == "--crash") opt.crash = std::atof(next("--crash"));
-    else if (arg == "--threshold") opt.rank_threshold = std::atof(next("--threshold"));
-    else if (arg == "--trials") opt.trials = std::atoi(next("--trials"));
-    else if (arg == "--threads") opt.threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    else if (arg == "--diam-mult") opt.diam_mult = std::atof(next("--diam-mult"));
+    else if (arg == "--n") opt.n = parse_number<std::uint32_t>("--n", next("--n"), 4);
+    else if (arg == "--seed") opt.seed = parse_number<std::uint64_t>("--seed", next("--seed"));
+    else if (arg == "--loss") opt.loss = parse_number<double>("--loss", next("--loss"));
+    else if (arg == "--crash") opt.crash = parse_number<double>("--crash", next("--crash"));
+    else if (arg == "--threshold")
+      opt.rank_threshold = parse_number<double>("--threshold", next("--threshold"));
+    else if (arg == "--trials") opt.trials = parse_number<int>("--trials", next("--trials"), 1);
+    else if (arg == "--threads") opt.threads = parse_number<unsigned>("--threads", next("--threads"));
+    else if (arg == "--diam-mult")
+      opt.diam_mult = parse_number<double>("--diam-mult", next("--diam-mult"));
     else if (arg == "--pipeline") {
       const char* name = next("--pipeline");
       const auto pipeline = drrg::api::pipeline_from_name(name);
@@ -184,7 +214,8 @@ Options parse(int argc, char** argv) {
       }
       opt.transport = *transport;
     }
-    else if (arg == "--bind-port") opt.bind_port = static_cast<std::uint16_t>(std::atoi(next("--bind-port")));
+    else if (arg == "--bind-port")
+      opt.bind_port = parse_number<std::uint16_t>("--bind-port", next("--bind-port"));
     else if (arg == "--seed-list") opt.seed_list = next("--seed-list");
     else if (arg == "--chaos") {
       opt.chaos_text = next("--chaos");
@@ -196,8 +227,10 @@ Options parse(int argc, char** argv) {
         usage(2);
       }
     }
-    else if (arg == "--round-ms") opt.round_ms = std::atoll(next("--round-ms"));
-    else if (arg == "--degree") opt.topology.degree = static_cast<std::uint32_t>(std::atoi(next("--degree")));
+    else if (arg == "--round-ms")
+      opt.round_ms = parse_number<std::int64_t>("--round-ms", next("--round-ms"));
+    else if (arg == "--degree")
+      opt.topology.degree = parse_number<std::uint32_t>("--degree", next("--degree"));
     else if (arg == "--topology") {
       const char* name = next("--topology");
       const auto spec = drrg::sim::topology_from_name(name);
@@ -283,17 +316,12 @@ Options parse(int argc, char** argv) {
       usage(2);
     }
   }
-  if (opt.n < 4) {
-    std::fprintf(stderr, "--n must be >= 4\n");
-    usage(2);
-  }
   if (opt.csv && opt.json) {
     std::fprintf(stderr, "--csv and --json are mutually exclusive\n");
     usage(2);
   }
   if (opt.peak_rss && !opt.json)
     std::fprintf(stderr, "--peak-rss only applies to --json (ignored)\n");
-  if (opt.trials < 1) opt.trials = 1;
   return opt;
 }
 
