@@ -108,9 +108,9 @@ void BM_EngineUniformComplete(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineUniformComplete)->RangeMultiplier(4)->Range(1 << 10, 1 << 14);
 
-// The sparse pipeline's engine bill: every logical G~ send expands into
-// hop-by-hop envelopes, so these cases exercise the forwarding-heavy
-// delivery path (queue churn dominated by in-flight routed messages).
+// The sparse pipeline, fault-free: its routed Phase III runs in event
+// time, each logical G~ send resolving its whole route once (EventClock
+// in src/aggregate/sparse.cpp).  msgs_per_sec still counts every hop.
 void BM_EngineChordDrr(benchmark::State& state) {
   engine_case(state, "chord-drr", sim::TopologyKind::kComplete);
 }

@@ -34,6 +34,8 @@ enum ScratchTag : int {
   kScratchSpreadKeys,
   kScratchSpreadAux,
   kScratchDerivedValues,
+  kScratchRootStreams,
+  kScratchEventRing,
 };
 
 /// What Phase III needs from Phases I-II besides the forest.

@@ -1,5 +1,6 @@
 #include "aggregate/routing.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -278,6 +279,39 @@ NodeId SparseRouter::next_hop_fast(NodeId at, RouteState& state) const noexcept 
       return at;
   }
   return at;
+}
+
+namespace {
+
+/// Hops along one lattice dimension of length `len`: the coordinate
+/// difference, or on a torus the shorter way round.  grid_step breaks an
+/// antipode tie forward, but both ways are equally long.
+[[nodiscard]] std::uint32_t axis_hops(std::uint32_t from, std::uint32_t to, std::uint32_t len,
+                                      bool torus) noexcept {
+  if (!torus) return from < to ? to - from : from - to;
+  const std::uint32_t forward = (to + len - from) % len;
+  return std::min(forward, len - forward);
+}
+
+}  // namespace
+
+RouteEnd SparseRouter::resolve(NodeId src, const RouteState& state) const noexcept {
+  if (state.mode == RouteState::Mode::kGrid) {
+    const auto target = static_cast<NodeId>(state.target);
+    return {target, axis_hops(src / cols_, target / cols_, rows_, torus_) +
+                        axis_hops(src % cols_, target % cols_, cols_, torus_)};
+  }
+  assert(state.mode == RouteState::Mode::kChordRoute && "resolve takes a fresh keyed route");
+  // The greedy walk to the key's static owner, hop for hop as
+  // next_hop_fast takes it, then the whole smear in one lookup.
+  RouteEnd end{src, 0};
+  while (end.at != state.owner) {
+    end.at = chord_next_hop_fast(*chord_, end.at, state.target);
+    ++end.hops;
+  }
+  end.at = chord_->nth_successor(end.at, state.steps);
+  end.hops += state.steps;
+  return end;
 }
 
 NodeId SparseRouter::next_hop_live(NodeId at, RouteState& state,

@@ -13,7 +13,10 @@
 //   * begin_directed(dst)  -- start a route to a specific known node (the
 //                             non-address-oblivious reply step);
 //   * next_hop(at, state)  -- advance one overlay hop; `at` unchanged
-//                             means the route has arrived.
+//                             means the route has arrived;
+//   * resolve(src, state)  -- the whole route at once, endpoint and hop
+//                             count, for a keyed route with every node
+//                             alive (the fault-free event-time Phase III).
 //
 // Three samplers cover the substrate families:
 //
@@ -85,6 +88,12 @@ struct RouteState {
   Mode mode = Mode::kDone;
 };
 
+/// Where a route ends and how many overlay hops it takes to get there.
+struct RouteEnd {
+  NodeId at = 0;
+  std::uint32_t hops = 0;
+};
+
 class SparseRouter {
  public:
   /// Routes on a Chord overlay (the chord-drr family).
@@ -138,6 +147,20 @@ class SparseRouter {
   /// != kWalk.
   [[nodiscard]] NodeId next_hop_live(NodeId at, RouteState& state,
                                      const LivenessView& alive) const;
+
+  /// True when routes are keyed (Chord, grid, torus): a route is a pure
+  /// function of its start state and the liveness view, and draws no
+  /// randomness per hop.  Walk substrates are not keyed.
+  [[nodiscard]] bool keyed() const noexcept { return chord_ != nullptr || cols_ != 0; }
+
+  /// The endpoint and hop count of a keyed route from `src` with every node
+  /// alive: what stepping next_hop_fast until it returns its holder gives,
+  /// without the per-hop dispatch.  The greedy finger walk still takes one
+  /// finger lookup per hop; the successor smear is one ring-index lookup,
+  /// and a lattice route is its row distance plus its column distance (a
+  /// torus dimension takes the shorter way round).  Precondition: keyed(),
+  /// and `state` is as begin_random or begin_directed returned it.
+  [[nodiscard]] RouteEnd resolve(NodeId src, const RouteState& state) const noexcept;
 
   /// Generous upper bound on the hops of any single route this router can
   /// emit (drain horizons are sized from it).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "aggregate/pipeline.hpp"
 #include "aggregate/routing.hpp"
 #include "rootgossip/ordered_key.hpp"
+#include "sim/call_faults.hpp"
 #include "sim/engine.hpp"
 #include "support/mathutil.hpp"
 
@@ -71,12 +73,19 @@ Graph overlay_graph(const ChordOverlay& chord) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Phase III carriers.  A logical G~ send travels as one engine envelope
-// that is re-sent hop by hop: first along the substrate route (SparseRouter
-// state machine), then up the landing node's ranking tree.  Each hop is
-// one engine message in one round, so the FaultSchedule applies to every
-// intermediate carrier and a delivery's latency equals its hop count --
-// the accounting the paper's "at most T hops of G per edge of G~" uses.
+// Phase III carriers.  A logical G~ send travels first along the substrate
+// route (SparseRouter), then up the landing node's ranking tree to its
+// root.  Each hop is one message in one round -- the accounting the
+// paper's "at most T hops of G per edge of G~" uses -- so a delivery's
+// latency equals its hop count.  Two executors run the same protocols:
+//
+//   * sim::Network, for every schedule where a hop can fail or draws
+//     randomness (loss, crashes, structured adversity, the armed push-sum,
+//     random-walk substrates): each call is one engine envelope re-sent hop
+//     by hop, so the FaultSchedule applies to every intermediate carrier;
+//   * EventClock (below), for fault-free runs on a keyed router: each call
+//     resolves its whole route when it is made and is absorbed in the round
+//     the engine would deliver its last hop.
 
 /// The engine's alive set as a routing liveness oracle: Chord hops detour
 /// around crashed nodes (stabilized overlay, see routing.hpp).
@@ -143,6 +152,157 @@ template <class Msg>
 }
 
 // ---------------------------------------------------------------------------
+// Event-time Phase III.  On a fault-free run with a keyed router nothing
+// can happen to a G~ call between its send and its absorption: no hop is
+// lost, no carrier dies, and no hop draws randomness.  The whole route is
+// known when the call is made -- SparseRouter::resolve, then the climb of
+// Forest::depth hops to Forest::root_of -- and so is the round in which the
+// engine would deliver its last hop.  EventClock books each call in that
+// round's bucket and absorbs it there, with no per-hop envelope.  It
+// reproduces the engine path bit for bit:
+//
+//   * Absorption round.  A call made in round c with h >= 1 hops is
+//     absorbed while round c + h - 1 is delivered (its first hop is
+//     delivered in round c, each forward one round later); with h = 0 it
+//     is absorbed inside the caller's upcall.  A reply created while round
+//     a is delivered sends its first hop in round a + 1, so it is absorbed
+//     in round a + h, or at once when h = 0.
+//   * Absorption order.  The engine delivers each round in (creation
+//     round, creation index) order: forwards keep their relative order
+//     from round to round, each round's fresh calls are appended after
+//     them, and a routed inquiry reply takes its inquiry's place.  Calls
+//     are booked in that order already; replies are booked later than
+//     their place says, so they are sorted and merged in.  Every
+//     push-sum addition and every max-merge -- and the key an inquiry
+//     reads -- happens in the engine's order.
+//   * Counters.  Every hop is sent and delivered: sent = delivered = the
+//     sum of hops, and lost = 0.  `rounds` counts the engine's steps, and
+//     a drain ends when nothing is booked, the engine's quiescent().
+//   * Randomness.  Each root draws its routes from the engine's own
+//     per-node stream (Network::node_rng, same purpose), in root order.
+//
+// A protocol supplies calling() (do roots call this round?), call(root)
+// (the payload, updating the root's state) and absorb(clock, order, root,
+// payload), which may send a reply through clock.launch.
+
+/// A booked call: absorbed at `root` in its bucket's round, in `order`:
+/// creation round << 32 | the caller's index in roots().
+template <class Payload>
+struct Booked {
+  std::uint64_t order;
+  NodeId root;
+  Payload payload;
+};
+
+template <class Payload>
+struct EventBucket {
+  std::vector<Booked<Payload>> calls;    ///< booked in order
+  std::vector<Booked<Payload>> replies;  ///< booked out of order
+};
+
+template <class Payload>
+class EventClock {
+ public:
+  /// The round buckets and the roots' streams are pooled per thread
+  /// (support/scratch.hpp), so a run allocates nothing here once warm.
+  EventClock(const SparseRouter& router, const Forest& forest, const RngFactory& rngs,
+             std::uint64_t purpose)
+      : router_(router),
+        forest_(forest),
+        roots_(forest.roots()),
+        streams_(support::scratch_buffer<Rng, kScratchRootStreams>()),
+        ring_(support::scratch_buffer<EventBucket<Payload>, kScratchEventRing>()) {
+    streams_.clear();
+    for (const NodeId r : roots_) streams_.push_back(rngs.node_stream(r, purpose));
+    // Bookings lie at most one route plus one climb ahead of the round.
+    const std::size_t span =
+        std::bit_ceil(std::size_t{router.max_route_hops()} + forest.max_tree_height() + 1);
+    if (ring_.size() < span) ring_.resize(span);
+    mask_ = span - 1;
+    for (std::size_t i = 0; i < span; ++i) {
+      ring_[i].calls.clear();
+      ring_[i].replies.clear();
+    }
+  }
+
+  [[nodiscard]] bool quiescent() const noexcept { return booked_ == 0; }
+
+  /// One engine step: the roots' upcalls, then the round's deliveries.
+  template <class P>
+  void step(P& proto) {
+    if (proto.calling()) {
+      const std::uint64_t round_order = std::uint64_t{round_} << 32;
+      for (std::uint32_t i = 0; i < roots_.size(); ++i) {
+        const NodeId v = roots_[i];
+        const RouteState route = router_.begin_random(v, streams_[i]);
+        launch(proto, v, route, round_order | i, proto.call(v));
+      }
+    }
+    // Absorbing books replies into later rounds only, never into `due`.
+    EventBucket<Payload>& due = ring_[round_ & mask_];
+    booked_ -= due.calls.size() + due.replies.size();
+    delivering_ = true;
+    std::sort(due.replies.begin(), due.replies.end(),
+              [](const Booked<Payload>& a, const Booked<Payload>& b) { return a.order < b.order; });
+    auto reply = due.replies.begin();
+    for (const Booked<Payload>& call : due.calls) {
+      for (; reply != due.replies.end() && reply->order < call.order; ++reply)
+        proto.absorb(*this, reply->order, reply->root, reply->payload);
+      proto.absorb(*this, call.order, call.root, call.payload);
+    }
+    for (; reply != due.replies.end(); ++reply)
+      proto.absorb(*this, reply->order, reply->root, reply->payload);
+    due.calls.clear();
+    due.replies.clear();
+    delivering_ = false;
+    ++round_;
+  }
+
+  /// Sends `payload` from `from` along `route`: absorbed at once when the
+  /// route and the climb take no hop, else booked for the round the engine
+  /// would deliver the last hop in.
+  template <class P>
+  void launch(P& proto, NodeId from, const RouteState& route, std::uint64_t order,
+              const Payload& payload) {
+    const RouteEnd end = router_.resolve(from, route);
+    const std::uint32_t hops = end.hops + forest_.depth(end.at);
+    const NodeId root = forest_.root_of(end.at);
+    hops_ += hops;
+    if (hops == 0) {
+      proto.absorb(*this, order, root, payload);
+      return;
+    }
+    assert(hops <= mask_);
+    // A send made while a round is delivered goes out the next round.
+    EventBucket<Payload>& b = ring_[(round_ + hops - (delivering_ ? 0 : 1)) & mask_];
+    (delivering_ ? b.replies : b.calls).push_back(Booked<Payload>{order, root, payload});
+    ++booked_;
+  }
+
+  /// The engine's counters for messages of `bits` bits each.
+  [[nodiscard]] sim::Counters counters(std::uint32_t bits) const noexcept {
+    sim::Counters c;
+    c.sent = hops_;
+    c.delivered = hops_;
+    c.bits = hops_ * bits;
+    c.rounds = round_;
+    return c;
+  }
+
+ private:
+  const SparseRouter& router_;
+  const Forest& forest_;
+  std::span<const NodeId> roots_;
+  std::vector<Rng>& streams_;                // roots_[i] draws from streams_[i]
+  std::vector<EventBucket<Payload>>& ring_;  // slot = round & mask_
+  std::size_t mask_ = 0;
+  std::uint64_t booked_ = 0;
+  std::uint64_t hops_ = 0;
+  std::uint32_t round_ = 0;
+  bool delivering_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // Routed Gossip-max over the forest roots (Algorithm 4 on the substrate).
 
 struct SgmMsg {
@@ -153,6 +313,15 @@ struct SgmMsg {
   sim::NodeId origin = sim::kNoNode;  // inquiring root (kInquiry)
   Kind kind = Kind::kGossip;
   bool climbing = false;  // routing finished; walking up the tree
+};
+
+/// What an event-time gossip-max call carries (the SgmMsg fields that
+/// outlive the route).
+struct GmLoad {
+  std::uint64_t key = 0;
+  std::uint64_t aux = 0;
+  sim::NodeId origin = sim::kNoNode;
+  SgmMsg::Kind kind = SgmMsg::Kind::kGossip;
 };
 
 struct SparseGmResult {
@@ -211,6 +380,13 @@ struct SparseGossipMaxProtocol {
     hop(net, dst, SgmMsg{m});
   }
 
+  void merge(sim::NodeId at, std::uint64_t k, std::uint64_t a) {
+    if (k > key[at]) {
+      key[at] = k;
+      aux[at] = a;
+    }
+  }
+
   void hop(sim::Network<SgmMsg>& net, sim::NodeId x, SgmMsg&& m) {
     // Stranded gossip dies at the holder: max-merge keys are idempotent
     // retransmitted state, so a lost copy costs redundancy, not mass.
@@ -220,10 +396,7 @@ struct SparseGossipMaxProtocol {
     switch (m.kind) {
       case SgmMsg::Kind::kGossip:
       case SgmMsg::Kind::kReply:
-        if (m.key > key[at]) {
-          key[at] = m.key;
-          aux[at] = m.aux;
-        }
+        merge(at, m.key, m.aux);
         break;
       case SgmMsg::Kind::kInquiry: {
         // Reply to the inquiring root: routed where the substrate has a
@@ -243,6 +416,25 @@ struct SparseGossipMaxProtocol {
       }
     }
   }
+
+  // Event time (EventClock): the same procedures, absorbed per call.
+  [[nodiscard]] bool calling() const noexcept { return procedure != Procedure::kIdle; }
+
+  [[nodiscard]] GmLoad call(sim::NodeId v) const noexcept {
+    if (procedure == Procedure::kGossip)
+      return {key[v], aux[v], sim::kNoNode, SgmMsg::Kind::kGossip};
+    return {0, 0, v, SgmMsg::Kind::kInquiry};
+  }
+
+  void absorb(EventClock<GmLoad>& clock, std::uint64_t order, sim::NodeId at, const GmLoad& m) {
+    if (m.kind != SgmMsg::Kind::kInquiry) {
+      merge(at, m.key, m.aux);
+      return;
+    }
+    // The reply takes the inquiry's place in the delivery order.
+    clock.launch(*this, at, router.begin_directed(m.origin), order,
+                 GmLoad{key[at], aux[at], sim::kNoNode, SgmMsg::Kind::kReply});
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -259,6 +451,12 @@ struct SpsMsg {
   std::uint32_t seq = 0;  ///< sender-local custody id (armed runs only)
   Kind kind = Kind::kShare;
   bool climbing = false;
+};
+
+/// What an event-time push-sum call carries.
+struct PsLoad {
+  double num = 0.0;
+  double den = 0.0;
 };
 
 struct SparsePsResult {
@@ -440,6 +638,20 @@ struct SparsePushSumProtocol {
     }
   }
 
+  // Event time (EventClock), unarmed runs only.
+  [[nodiscard]] bool calling() const noexcept { return initiate; }
+
+  [[nodiscard]] PsLoad call(sim::NodeId v) noexcept {
+    num[v] *= 0.5;
+    den[v] *= 0.5;
+    return {num[v], den[v]};
+  }
+
+  void absorb(EventClock<PsLoad>&, std::uint64_t, sim::NodeId at, const PsLoad& m) noexcept {
+    num[at] += m.num;
+    den[at] += m.den;
+  }
+
   /// Folds every outstanding custody slot back into its holder's own
   /// pair.  Called once after the drain: by then any slot still pending
   /// was never delivered (acks are same-round), so the fold restores the
@@ -473,10 +685,10 @@ struct SparsePushSumProtocol {
 
 /// Runs `steps` initiation rounds with the protocol live, then drains
 /// until the network is quiescent (every in-flight envelope has landed or
-/// died), capped by the longest possible residual path.
-template <class Msg, class P>
-void run_then_drain(sim::Network<Msg>& net, P& proto, std::uint32_t steps,
-                    std::uint32_t drain_cap) {
+/// died), capped by the longest possible residual path.  `Net` is a
+/// sim::Network or an EventClock.
+template <class Net, class P>
+void run_then_drain(Net& net, P& proto, std::uint32_t steps, std::uint32_t drain_cap) {
   for (std::uint32_t r = 0; r < steps; ++r) net.step(proto);
   for (std::uint32_t r = 0; r < drain_cap && !net.quiescent(); ++r) net.step(proto);
 }
@@ -487,52 +699,120 @@ void run_then_drain(sim::Network<Msg>& net, P& proto, std::uint32_t steps,
   return router.max_route_hops() + forest.max_tree_height() + slack + 2;
 }
 
+/// Phase III's round budgets on a routed substrate, for both executors:
+/// G gossip and S sampling rounds of gossip-max and data-spread, T
+/// initiation rounds of push-sum, and the drain caps after them.  Each is
+/// the dense schedule's O(log n) budget, scaled by its config's
+/// round_budget_scale as the dense protocols scale theirs (a factor of
+/// exactly 1 by default), and stretched for routed latency:
+///   * event-time latency stretches each routed G~ generation by the
+///     expected call delay, so G, S and T are scaled by it (and the drain
+///     horizons by the worst case); factor 1 at latency 0;
+///   * a push-sum share initiated now only re-mixes after its
+///     ~typical_route_hops() trip, so T is scaled by (1 + typical/log2 n)
+///     to preserve the number of completed mixing generations -- a
+///     constant factor on Chord (typical = Theta(log n)), and message
+///     complexity stays O(n log n);
+///   * armed lossy push-sum retransmits each lost hop after reclaim_after
+///     rounds, stretching a route by an expected (1 + loss/(1-loss) *
+///     reclaim_after) factor; T is scaled to match.  Exactly 1 unarmed or
+///     lossless.
+struct RoutedBudget {
+  std::uint32_t gossip = 0;        ///< G
+  std::uint32_t sampling = 0;      ///< S
+  std::uint32_t gossip_drain = 0;  ///< cap after G; twice it after S
+  std::uint32_t push = 0;          ///< T
+  std::uint32_t push_drain = 0;    ///< cap after T
+};
+
+[[nodiscard]] RoutedBudget routed_budget(std::uint32_t n, const SparseRouter& router,
+                                         const Forest& forest,
+                                         const sim::FaultSchedule& faults,
+                                         const GossipMaxConfig& gm, const PushSumConfig& ps) {
+  const auto log_n = static_cast<double>(ceil_log2(n));
+  const double lat = 1.0 + faults.latency.mean();
+  const std::uint32_t stretch = 1 + faults.latency.bound();
+  RoutedBudget b;
+  b.gossip = static_cast<std::uint32_t>(gm.gossip_multiplier * log_n * lat *
+                                        gm.round_budget_scale);
+  b.sampling = static_cast<std::uint32_t>(gm.sampling_multiplier * log_n * lat *
+                                          gm.round_budget_scale);
+  b.gossip_drain = stretch * drain_cap(router, forest, gm.drain_rounds);
+  const double loss = faults.loss_prob;
+  const double reclaim_after = 2.0 + faults.latency.bound();
+  const double arq_scale = (ps.hop_carry_ack && loss > 0.0 && loss < 1.0)
+                               ? 1.0 + loss / (1.0 - loss) * reclaim_after
+                               : 1.0;
+  const double latency_scale =
+      (1.0 + static_cast<double>(router.typical_route_hops()) / log_n) * lat;
+  b.push = static_cast<std::uint32_t>(ps.rounds_multiplier * log_n * latency_scale *
+                                      arq_scale * ps.round_budget_scale) +
+           ps.extra_rounds;
+  b.push_drain = stretch * drain_cap(router, forest, b.push);
+  return b;
+}
+
+/// True when no routed call can fail and no hop draws randomness: the
+/// schedule is §2's fault model with no loss and nobody crashed, and the
+/// router is keyed.  Phase III then runs in event time.
+[[nodiscard]] bool runs_in_event_time(std::uint32_t n, const SparseRouter& router,
+                                      const RngFactory& rngs, const sim::Scenario& scenario,
+                                      std::uint64_t purpose) {
+  const sim::FaultSchedule& f = scenario.faults;
+  if (!router.keyed() || !f.paper_model() || f.loss_prob > 0.0) return false;
+  // A crash fraction may still round to nobody at small n.
+  return f.crash_fraction <= 0.0 || !sim::CallFaults{n, rngs, scenario, purpose}.active();
+}
+
+template <class Net>
+void run_gossip_max_procedures(Net& net, SparseGossipMaxProtocol& proto,
+                               const RoutedBudget& budget) {
+  // Procedures are gated off before each drain: with roots still
+  // initiating, the quiescence exit would be unreachable and the drain
+  // rounds would silently double the configured O(log n) G~ budget.
+  using Procedure = SparseGossipMaxProtocol::Procedure;
+  proto.procedure = Procedure::kGossip;
+  run_then_drain(net, proto, budget.gossip, 0);
+  proto.procedure = Procedure::kIdle;
+  run_then_drain(net, proto, 0, budget.gossip_drain);
+  proto.procedure = Procedure::kSampling;
+  run_then_drain(net, proto, budget.sampling, 0);
+  proto.procedure = Procedure::kIdle;
+  // Replies may chain one more routed leg; drain with double headroom.
+  run_then_drain(net, proto, 0, 2 * budget.gossip_drain);
+}
+
 SparseGmResult run_sparse_gossip_max(std::uint32_t n, const SparseRouter& router,
                                      const Forest& forest,
                                      std::span<const std::uint64_t> init,
                                      const RngFactory& rngs, const sim::Scenario& scenario,
-                                     const GossipMaxConfig& cfg,
+                                     const GossipMaxConfig& cfg, const RoutedBudget& budget,
                                      std::span<const std::uint64_t> init_aux = {}) {
-  sim::Network<SgmMsg> net{n, rngs, scenario, derive_seed(0x59a2, cfg.stream_tag)};
+  const std::uint64_t purpose = derive_seed(0x59a2, cfg.stream_tag);
   SparseGossipMaxProtocol proto{forest, router, scenario.faults.crash_free(), init,
                                 init_aux, n};
-  // Event-time latency stretches each routed G~ generation by the expected
-  // call delay; scale the budgets (and the drain horizon, by the worst
-  // case) to keep the completed-generation count.  Factor 1 at latency 0.
-  const double lat = 1.0 + scenario.faults.latency.mean();
-  const auto G = static_cast<std::uint32_t>(
-      cfg.gossip_multiplier * static_cast<double>(ceil_log2(n)) * lat);
-  const auto S = static_cast<std::uint32_t>(
-      cfg.sampling_multiplier * static_cast<double>(ceil_log2(n)) * lat);
-  const std::uint32_t cap = (1 + scenario.faults.latency.bound()) *
-                            drain_cap(router, forest, cfg.drain_rounds);
-
-  // Procedures are gated off before each drain: with roots still
-  // initiating, the quiescence exit would be unreachable and the drain
-  // rounds would silently double the configured O(log n) G~ budget.
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kGossip;
-  run_then_drain(net, proto, G, 0);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kIdle;
-  run_then_drain(net, proto, 0, cap);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kSampling;
-  run_then_drain(net, proto, S, 0);
-  proto.procedure = SparseGossipMaxProtocol::Procedure::kIdle;
-  // Replies may chain one more routed leg; drain with double headroom.
-  run_then_drain(net, proto, 0, 2 * cap);
-
   SparseGmResult result;
+  if (runs_in_event_time(n, router, rngs, scenario, purpose)) {
+    EventClock<GmLoad> clock{router, forest, rngs, purpose};
+    run_gossip_max_procedures(clock, proto, budget);
+    result.counters = clock.counters(proto.bits);
+  } else {
+    sim::Network<SgmMsg> net{n, rngs, scenario, purpose};
+    run_gossip_max_procedures(net, proto, budget);
+    result.counters = net.counters();
+  }
   result.key = std::move(proto.key);
   result.aux = std::move(proto.aux);
-  result.counters = net.counters();
-  result.rounds = net.counters().rounds;
+  result.rounds = result.counters.rounds;
   return result;
 }
 
 SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
                                    const Forest& forest, std::span<const double> num0,
                                    std::span<const double> den0, const RngFactory& rngs,
-                                   const sim::Scenario& scenario, const PushSumConfig& cfg) {
-  sim::Network<SpsMsg> net{n, rngs, scenario, derive_seed(0x59b2, cfg.stream_tag)};
+                                   const sim::Scenario& scenario, const PushSumConfig& cfg,
+                                   const RoutedBudget& budget) {
+  const std::uint64_t purpose = derive_seed(0x59b2, cfg.stream_tag);
   SparsePushSumProtocol proto{forest,
                               router,
                               scenario.faults.crash_free(),
@@ -541,54 +821,38 @@ SparsePsResult run_sparse_push_sum(std::uint32_t n, const SparseRouter& router,
                               n,
                               cfg.hop_carry_ack,
                               scenario.faults.latency.bound()};
-  // Latency compensation: a share initiated now only re-mixes after its
-  // ~typical_route_hops() round trip, so the O(log n) initiation window is
-  // scaled by (1 + typical/log2 n) to preserve the number of completed
-  // mixing generations.  On Chord (typical = Theta(log n)) this is a
-  // constant factor; message complexity stays O(n log n).
-  // Armed lossy runs retransmit each lost hop after reclaim_after rounds,
-  // stretching a route by an expected (1 + loss/(1-loss) * reclaim_after)
-  // factor; scale the initiation window to keep the completed mixing
-  // generations.  Exactly 1 unarmed or lossless, so pins are untouched.
-  const double loss = scenario.faults.loss_prob;
-  const double arq_scale =
-      (proto.armed && loss > 0.0 && loss < 1.0)
-          ? 1.0 + loss / (1.0 - loss) * static_cast<double>(proto.reclaim_after)
-          : 1.0;
-  const double latency_scale =
-      (1.0 + static_cast<double>(router.typical_route_hops()) /
-                 static_cast<double>(ceil_log2(n))) *
-      (1.0 + scenario.faults.latency.mean());
-  const std::uint32_t T = static_cast<std::uint32_t>(
-                              cfg.rounds_multiplier * static_cast<double>(ceil_log2(n)) *
-                              latency_scale * arq_scale) +
-                          cfg.extra_rounds;
-
-  proto.initiate = true;
-  for (std::uint32_t r = 0; r < T; ++r) net.step(proto);
-  proto.initiate = false;
-  const std::uint32_t cap =
-      (1 + scenario.faults.latency.bound()) * drain_cap(router, forest, T);
-  if (!proto.armed) {
-    run_then_drain(net, proto, 0, cap);
-  } else {
-    // Armed drain: quiescence alone is not enough -- parked custody
-    // re-homes after its ack window, re-launching traffic.  Allow a few
-    // reclaim generations, then fold whatever is still boxed in back into
-    // its holder (conservation over reachability).
-    const std::uint32_t armed_cap = 4 * (cap + proto.reclaim_after);
-    for (std::uint32_t r = 0;
-         r < armed_cap && !(net.quiescent() && proto.pending_total == 0); ++r) {
-      net.step(proto);
-    }
-    proto.fold_back_pending();
-  }
-
   SparsePsResult result;
+  if (!proto.armed && runs_in_event_time(n, router, rngs, scenario, purpose)) {
+    EventClock<PsLoad> clock{router, forest, rngs, purpose};
+    proto.initiate = true;
+    run_then_drain(clock, proto, budget.push, 0);
+    proto.initiate = false;
+    run_then_drain(clock, proto, 0, budget.push_drain);
+    result.counters = clock.counters(proto.bits);
+  } else {
+    sim::Network<SpsMsg> net{n, rngs, scenario, purpose};
+    proto.initiate = true;
+    run_then_drain(net, proto, budget.push, 0);
+    proto.initiate = false;
+    if (!proto.armed) {
+      run_then_drain(net, proto, 0, budget.push_drain);
+    } else {
+      // Armed drain: quiescence alone is not enough -- parked custody
+      // re-homes after its ack window, re-launching traffic.  Allow a few
+      // reclaim generations, then fold whatever is still boxed in back
+      // into its holder (conservation over reachability).
+      const std::uint32_t armed_cap = 4 * (budget.push_drain + proto.reclaim_after);
+      for (std::uint32_t r = 0;
+           r < armed_cap && !(net.quiescent() && proto.pending_total == 0); ++r) {
+        net.step(proto);
+      }
+      proto.fold_back_pending();
+    }
+    result.counters = net.counters();
+  }
   result.num = std::move(proto.num);
   result.den = std::move(proto.den);
-  result.counters = net.counters();
-  result.rounds = net.counters().rounds;
+  result.rounds = result.counters.rounds;
   return result;
 }
 
@@ -651,8 +915,10 @@ AggregateOutcome sparse_max_pipeline(std::uint32_t n, const Graph& links,
   for (NodeId r : forest.roots()) keys[r] = encode_ordered(p.cc.aggregate[r]);
   GossipMaxConfig gm_cfg = config.gossip_max;
   gm_cfg.stream_tag = derive_seed(gm_cfg.stream_tag, 3);
+  const RoutedBudget budget =
+      routed_budget(n, router, forest, scenario.faults, config.gossip_max, config.push_sum);
   const SparseGmResult gm = run_sparse_gossip_max(
-      n, router, forest, keys, rngs, scenario.at_round(p.end_round), gm_cfg);
+      n, router, forest, keys, rngs, scenario.at_round(p.end_round), gm_cfg, budget);
   out.metrics.gossip = gm.counters;
   out.rounds_total += gm.rounds;
 
@@ -691,8 +957,10 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   }
   PushSumConfig ps_cfg = config.push_sum;
   ps_cfg.stream_tag = derive_seed(ps_cfg.stream_tag, 5);
-  const SparsePsResult ps = run_sparse_push_sum(
-      n, router, forest, num0, den0, rngs, scenario.at_round(p.end_round), ps_cfg);
+  const RoutedBudget budget =
+      routed_budget(n, router, forest, scenario.faults, config.gossip_max, config.push_sum);
+  const SparsePsResult ps = run_sparse_push_sum(n, router, forest, num0, den0, rngs,
+                                                scenario.at_round(p.end_round), ps_cfg, budget);
   out.metrics.gossip = ps.counters;
   out.rounds_total += ps.rounds;
 
@@ -721,7 +989,7 @@ AggregateOutcome sparse_ave_pipeline(std::uint32_t n, const Graph& links,
   spread_cfg.stream_tag = derive_seed(spread_cfg.stream_tag, 6);
   const SparseGmResult spread = run_sparse_gossip_max(
       n, router, forest, spread_keys, rngs,
-      scenario.at_round(p.end_round + ps.rounds), spread_cfg, spread_aux);
+      scenario.at_round(p.end_round + ps.rounds), spread_cfg, budget, spread_aux);
   out.metrics.spread = spread.counters;
   out.rounds_total += spread.rounds;
 

@@ -1,6 +1,6 @@
 #pragma once
 // DRR-gossip on sparse networks (§4): Local-DRR + tree aggregation +
-// routed root gossip, executed end to end on the shared sim::Engine.
+// routed root gossip.
 //
 // Theorem 14 (instantiated for Chord, T = M = O(log n)): the pipeline
 // takes O(log^2 n) time and O(n log n) messages whp, versus
@@ -15,12 +15,20 @@
 //
 // (*plus the constant-round loss-resilient rank re-exchange.)
 //
-// Phase III runs on sim::Network: every logical G~ send is expanded into
-// real hop-by-hop envelopes (substrate routing via SparseRouter, then the
-// tree walk up to the landing node's root), so mid-run churn kills
-// intermediate carriers, per-hop loss comes from the engine's loss coin,
-// and one global round clock spans all phases -- the full sim::Scenario
-// fault schedule applies exactly as it does to every other family.
+// Phases I and II run on the flat executors under the paper's fault model
+// (loss plus round-0 crashes) and on sim::Network otherwise, like every
+// other family.  A logical G~ send of Phase III takes the substrate route
+// (SparseRouter), then the tree walk up to the landing node's root, one
+// hop per round.  Whenever a hop can fail -- loss, crashes, churn and the
+// other structured adversity -- or draws randomness (the random-walk
+// substrates), Phase III runs on sim::Network and every send is expanded
+// into real hop-by-hop envelopes: mid-run churn kills intermediate
+// carriers, per-hop loss comes from the engine's loss coin, and one global
+// round clock spans all phases.  A fault-free run on a keyed substrate
+// (Chord, grid, torus) runs Phase III in event time instead: each send
+// resolves its whole route when it is made and is absorbed in the round
+// the engine would deliver its last hop, bit for bit the engine's result
+// without the per-hop envelopes (sparse.cpp, EventClock).
 //
 // Two substrate shapes are supported:
 //   * the Chord overlay of §4 (sparse_drr_gossip_* overloads taking a

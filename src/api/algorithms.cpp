@@ -616,10 +616,11 @@ RunReport run_chord_drr(const RunSpec& spec) {
   if (!report.error.empty()) return report;
   const auto values = materialize_values(spec, /*positive_only=*/false);
   const ChordSubstrate sub = chord_substrate(spec.n, spec.seed, /*want_links=*/true);
-  // Engine-ported Phase III: every G~ send expands hop by hop on the
-  // shared sim::Network, so the full fault schedule -- including mid-run
-  // churn, which the old RoutedTransport replay map had to reject --
-  // applies to intermediate routing hops and tree walks alike.
+  // Whenever a hop can fail, Phase III expands every G~ send hop by hop
+  // on the shared sim::Network, so the full fault schedule -- including
+  // mid-run churn, which the old RoutedTransport replay map had to
+  // reject -- applies to intermediate routing hops and tree walks alike.
+  // Fault-free runs resolve each send in event time, with the same result.
   const sim::Scenario scenario{sim::Topology::complete(), spec.faults};
   const AggregateOutcome o =
       spec.aggregate == Aggregate::kMax

@@ -9,7 +9,7 @@
 namespace drrg {
 
 ChordOverlay::ChordOverlay(std::uint32_t n, std::uint64_t seed, std::uint32_t ring_bits)
-    : n_(n) {
+    : n_(n), smear_(std::max<std::uint32_t>(8, ceil_log2(n))) {
   if (n < 2) throw std::invalid_argument("ChordOverlay: need n >= 2");
   m_ = ring_bits != 0 ? ring_bits : std::min<std::uint32_t>(62, ceil_log2(n) + 8);
   if ((std::uint64_t{1} << m_) < n)
@@ -113,12 +113,6 @@ NodeId ChordOverlay::owner_of_key(std::uint64_t key) const noexcept {
   return sorted_nodes_[owner_pos(key & (ring_size() - 1))];
 }
 
-NodeId ChordOverlay::successor(NodeId v) const noexcept { return succ_[v]; }
-
-NodeId ChordOverlay::finger(NodeId v, std::uint32_t k) const noexcept {
-  return fingers_[static_cast<std::size_t>(v) * m_ + k];
-}
-
 bool ChordOverlay::in_open_interval(std::uint64_t x, std::uint64_t a,
                                     std::uint64_t b) const noexcept {
   // x in (a, b) clockwise on the ring; empty when a == b.
@@ -135,10 +129,6 @@ NodeId ChordOverlay::next_hop(NodeId v, std::uint64_t key) const noexcept {
     if (c != v && in_open_interval(ids_[c], ids_[v], key)) return c;
   }
   return successor(v);
-}
-
-std::uint32_t ChordOverlay::smear_width() const noexcept {
-  return std::max<std::uint32_t>(8, ceil_log2(n_));
 }
 
 }  // namespace drrg

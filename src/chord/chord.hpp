@@ -18,7 +18,8 @@
 // probability (1 +- O(1/sqrt(S))) / n -- near-uniform in exactly the sense
 // the Phase III analysis needs -- at O(log n) hops per draw.  The sampler
 // itself is SparseRouter::begin_random (aggregate/routing.hpp), which the
-// engine expands hop by hop; this class supplies the ring, the greedy
+// engine expands hop by hop and a fault-free run resolves in one call
+// (SparseRouter::resolve); this class supplies the ring, the greedy
 // routing and the smear width S.
 
 #include <cstdint>
@@ -50,10 +51,21 @@ class ChordOverlay {
   [[nodiscard]] NodeId owner_of_key(std::uint64_t key) const noexcept;
 
   /// Immediate successor of node v on the ring (one flat-array load).
-  [[nodiscard]] NodeId successor(NodeId v) const noexcept;
+  [[nodiscard]] NodeId successor(NodeId v) const noexcept { return succ_[v]; }
+
+  /// The node k steps clockwise from v: successor() applied k times, in
+  /// two loads of the ring index whatever k is (k = 0 and every multiple
+  /// of n give v itself).
+  [[nodiscard]] NodeId nth_successor(NodeId v, std::uint64_t k) const noexcept {
+    std::uint64_t pos = ring_pos_[v] + k;
+    if (pos >= n_) pos %= n_;
+    return sorted_nodes_[pos];
+  }
 
   /// Finger k of node v: owner of (id_of(v) + 2^k) mod 2^m.
-  [[nodiscard]] NodeId finger(NodeId v, std::uint32_t k) const noexcept;
+  [[nodiscard]] NodeId finger(NodeId v, std::uint32_t k) const noexcept {
+    return fingers_[static_cast<std::size_t>(v) * m_ + k];
+  }
 
   /// Flat row of v's finger table (m_ entries, index by k).  Finger k is
   /// the first node at clockwise distance >= 2^k (v itself when none is),
@@ -70,7 +82,7 @@ class ChordOverlay {
   [[nodiscard]] NodeId next_hop(NodeId v, std::uint64_t key) const noexcept;
 
   /// Successor-walk width S of the sampler: max(8, ceil(log2 n)).
-  [[nodiscard]] std::uint32_t smear_width() const noexcept;
+  [[nodiscard]] std::uint32_t smear_width() const noexcept { return smear_; }
 
  private:
   [[nodiscard]] bool in_open_interval(std::uint64_t x, std::uint64_t a,
@@ -81,6 +93,7 @@ class ChordOverlay {
 
   std::uint32_t n_;
   std::uint32_t m_;
+  std::uint32_t smear_;                    // smear_width()
   std::vector<std::uint64_t> ids_;         // id of node v
   std::vector<std::uint64_t> sorted_ids_;  // ids in ring order, + ring_size() sentinel
   std::vector<NodeId> sorted_nodes_;       // node labels in ring order

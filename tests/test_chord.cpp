@@ -49,6 +49,22 @@ TEST(Chord, SuccessorCyclesThroughAllNodes) {
   EXPECT_EQ(v, 0u);  // back to start after n steps
 }
 
+TEST(Chord, NthSuccessorMatchesRepeatedSuccessor) {
+  // k from 0 to 2n: every wrap-around, including k = n and k = 2n (v
+  // itself).  At n = 4096 a spread of start nodes keeps the walk short.
+  for (const std::uint32_t n : {2u, 3u, 50u, 4096u}) {
+    const ChordOverlay c{n, 8 + n};
+    const std::uint32_t stride = n < 64 ? 1 : 409;
+    for (NodeId v = 0; v < n; v += stride) {
+      NodeId walked = v;
+      for (std::uint64_t k = 0; k <= 2 * std::uint64_t{n}; ++k) {
+        ASSERT_EQ(c.nth_successor(v, k), walked) << "n=" << n << " v=" << v << " k=" << k;
+        walked = c.successor(walked);
+      }
+    }
+  }
+}
+
 TEST(Chord, ArcLengthsSumToRing) {
   ChordOverlay c{128, 6};
   std::uint64_t total = 0;

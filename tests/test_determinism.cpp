@@ -339,6 +339,87 @@ TEST(GoldenDeterminism, FlatExecutorsMatchEnginePath) {
   }
 }
 
+// The sparse pipeline's fault-free Phase III runs in event time: each G~
+// call resolves its route when it is made and is absorbed in the round
+// the engine would deliver its last hop.  It must match the hop-by-hop
+// engine path report field for field, and per node: chord-drr at n =
+// 4096, where Max's inquiry replies are routed back to their origins, and
+// the sparse pipeline on a grid and on a torus (even sides: antipode
+// ties) and an odd torus.
+TEST(GoldenDeterminism, EventTimePhaseThreeMatchesEnginePath) {
+  struct Row {
+    const char* algo;
+    sim::TopologyKind kind;
+    bool torus;
+    std::uint32_t n;
+  };
+  const Row rows[] = {{"chord-drr", sim::TopologyKind::kComplete, false, 4096},
+                      {"drr", sim::TopologyKind::kGrid2d, false, 1024},
+                      {"drr", sim::TopologyKind::kGrid2d, true, 1024},
+                      {"drr", sim::TopologyKind::kGrid2d, true, 1023}};
+  for (const Row& row : rows) {
+    for (const api::Aggregate agg : {api::Aggregate::kAve, api::Aggregate::kMax}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+        api::RunSpec flat = spec_of(row.n, agg, seed);
+        flat.topology.kind = row.kind;
+        flat.topology.torus = row.torus;
+        if (row.kind != sim::TopologyKind::kComplete) flat.pipeline = api::Pipeline::kSparse;
+        api::RunSpec engine = flat;
+        engine.faults = engine_forcing(flat.faults);
+        const std::string what = std::string{row.algo} + " " +
+                                 std::string{sim::to_string(row.kind)} +
+                                 (row.torus ? " torus " : " ") + std::to_string(row.n) + " " +
+                                 std::string{api::to_string(agg)} + " seed " +
+                                 std::to_string(seed);
+        expect_same_report(api::run(row.algo, flat), api::run(row.algo, engine), what,
+                           /*compare_participating=*/true);
+      }
+    }
+  }
+}
+
+void expect_same_outcome(const AggregateOutcome& a, const AggregateOutcome& b,
+                         const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.value), std::bit_cast<std::uint64_t>(b.value))
+      << what;
+  EXPECT_EQ(bit_patterns(a.per_node), bit_patterns(b.per_node)) << what;
+  EXPECT_EQ(a.participating, b.participating) << what;
+  EXPECT_EQ(a.consensus, b.consensus) << what;
+  EXPECT_EQ(a.rounds_total, b.rounds_total) << what;
+  expect_same_counters(a.metrics.gossip, b.metrics.gossip, what + " gossip");
+  expect_same_counters(a.metrics.spread, b.metrics.spread, what + " spread");
+  expect_same_counters(a.metrics.value_broadcast, b.metrics.value_broadcast,
+                       what + " value broadcast");
+}
+
+// Per-node values, with budgets too short to converge (one gossip round,
+// three sampling rounds): the roots end on different keys, and the key an
+// inquiry reads depends on whether a reply landed at its root earlier in
+// the same round.  Event time must absorb replies in the engine's delivery
+// order, or some root ends on a different key.
+TEST(GoldenDeterminism, EventTimeRepliesKeepTheEngineOrder) {
+  SparseGossipConfig short_gossip;
+  short_gossip.gossip_max.gossip_multiplier = 0.1;
+  short_gossip.gossip_max.sampling_multiplier = 0.25;
+  const std::uint32_t n = 4096;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    const ChordOverlay chord{n, seed};
+    const Graph links = overlay_graph(chord);
+    std::vector<double> values(n);
+    Rng vr{seed};
+    for (double& x : values) x = vr.next_uniform(-50, 50);
+    const sim::Scenario flat{};
+    const sim::Scenario engine{engine_forcing({})};
+    const std::string what = "chord n 4096 seed " + std::to_string(seed);
+    expect_same_outcome(sparse_drr_gossip_max(chord, links, values, seed, flat, short_gossip),
+                        sparse_drr_gossip_max(chord, links, values, seed, engine, short_gossip),
+                        "max " + what);
+    expect_same_outcome(sparse_drr_gossip_ave(chord, links, values, seed, flat, short_gossip),
+                        sparse_drr_gossip_ave(chord, links, values, seed, engine, short_gossip),
+                        "ave " + what);
+  }
+}
+
 // Phase III's flat executor, called directly: gossip-max, data-spread
 // and push-sum (Ave and the one-hot Sum/Count denominator) on the flat
 // path and on the engine path must agree bit for bit -- keys, the

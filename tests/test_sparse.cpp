@@ -7,12 +7,18 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "aggregate/routing.hpp"
 #include "aggregate/sparse.hpp"
+#include "api/registry.hpp"
+#include "api/report_hash.hpp"
 #include "baselines/chord_uniform.hpp"
+#include "sim/topology.hpp"
 #include "support/mathutil.hpp"
 #include "support/rng.hpp"
 
@@ -77,10 +83,11 @@ TEST(OverlayGraph, MatchesSetReference) {
   }
 }
 
-TEST(SparseRouter, ChordFastHopMatchesLiveHop) {
+TEST(SparseRouter, ChordFastHopLiveHopAndResolveAgree) {
   // next_hop_fast (crash-free runs) and next_hop_live under an all-alive
   // view (the liveness-aware code every faulty run takes) must walk the
-  // same routes hop for hop.
+  // same routes hop for hop, and resolve (fault-free event time) must end
+  // where they end after as many hops.
   const LivenessView all_alive{nullptr, [](const void*, NodeId) { return true; }};
   // With 11 bits half the ring points are ids: many successors sit at
   // distance 1, so fingers 0 and 1 differ, and finger floor(log2 d) still
@@ -88,6 +95,7 @@ TEST(SparseRouter, ChordFastHopMatchesLiveHop) {
   for (const std::uint32_t bits : {0u, 11u, 62u}) {
     const ChordOverlay chord{1024, 17, bits};
     const SparseRouter router = SparseRouter::on_chord(chord);
+    ASSERT_TRUE(router.keyed());
     auto walk = [&](NodeId src, RouteState st, bool fast) {
       std::vector<NodeId> path{src};
       for (std::uint32_t hop = 0; hop <= router.max_route_hops(); ++hop) {
@@ -110,12 +118,117 @@ TEST(SparseRouter, ChordFastHopMatchesLiveHop) {
       NodeId end = chord.owner_of_key(sample.target);
       for (std::uint32_t s = 0; s < sample.steps; ++s) end = chord.successor(end);
       ASSERT_EQ(path.back(), end);
+      const RouteEnd resolved = router.resolve(src, sample);
+      ASSERT_EQ(resolved.at, end) << "bits=" << bits << " route " << i;
+      ASSERT_EQ(resolved.hops, path.size() - 1) << "bits=" << bits << " route " << i;
 
       const auto dst = static_cast<NodeId>(rng.next_below(chord.size()));
       const RouteState directed = router.begin_directed(dst);
       const std::vector<NodeId> to_dst = walk(src, directed, true);
       ASSERT_EQ(to_dst, walk(src, directed, false)) << "bits=" << bits << " route " << i;
       ASSERT_EQ(to_dst.back(), dst);
+      const RouteEnd to_dst_resolved = router.resolve(src, directed);
+      ASSERT_EQ(to_dst_resolved.at, dst) << "bits=" << bits << " route " << i;
+      ASSERT_EQ(to_dst_resolved.hops, to_dst.size() - 1) << "bits=" << bits << " route " << i;
+    }
+  }
+}
+
+TEST(SparseRouter, LatticeResolveMatchesSteppedRoutes) {
+  // Grids and tori with even sides (antipode ties) and odd ones: resolve
+  // ends where stepping next_hop_fast ends, after as many hops.
+  for (const bool torus : {false, true}) {
+    for (const auto& [rows, cols] : {std::pair{16u, 16u}, std::pair{15u, 17u},
+                                     std::pair{8u, 13u}}) {
+      const sim::Topology lattice = sim::Topology::of_grid(rows, cols, torus);
+      const SparseRouter router = SparseRouter::on_substrate(lattice);
+      ASSERT_TRUE(router.keyed());
+      const std::string what = std::string{torus ? "torus " : "grid "} +
+                               std::to_string(rows) + "x" + std::to_string(cols);
+      auto stepped = [&router](NodeId src, RouteState st) {
+        RouteEnd end{src, 0};
+        for (NodeId nh = router.next_hop_fast(src, st); nh != end.at;
+             nh = router.next_hop_fast(nh, st)) {
+          end.at = nh;
+          ++end.hops;
+        }
+        return end;
+      };
+      Rng rng{rows * 100 + cols};
+      for (int i = 0; i < 2000; ++i) {
+        const auto src = static_cast<NodeId>(rng.next_below(rows * cols));
+        const RouteState sample = router.begin_random(src, rng);
+        const RouteEnd want = stepped(src, sample);
+        const RouteEnd got = router.resolve(src, sample);
+        ASSERT_EQ(got.at, want.at) << what << " random route " << i;
+        ASSERT_EQ(got.hops, want.hops) << what << " random route " << i;
+
+        const auto dst = static_cast<NodeId>(rng.next_below(rows * cols));
+        const RouteState directed = router.begin_directed(dst);
+        const RouteEnd to_dst = router.resolve(src, directed);
+        ASSERT_EQ(to_dst.at, dst) << what << " directed route " << i;
+        ASSERT_EQ(to_dst.hops, stepped(src, directed).hops) << what << " directed route " << i;
+      }
+    }
+  }
+  // Random walks draw per hop: the walk substrates are not keyed.
+  const sim::Topology walk = sim::make_topology({sim::TopologyKind::kRandomRegular}, 64, 3);
+  EXPECT_FALSE(SparseRouter::on_substrate(walk).keyed());
+}
+
+TEST(SparseRouter, TorusAntipodeTieGoesForward) {
+  // On an even torus side both ways round are equally long; the route
+  // steps forward (row + 1, then column + 1).  Detours under crashes walk
+  // from this static path, so the pinned faulty sweeps depend on it.
+  const sim::Topology torus = sim::Topology::of_grid(8, 6, true);
+  const SparseRouter router = SparseRouter::on_substrate(torus);
+  RouteState down = router.begin_directed(4 * 6 + 2);  // row 4, col 2
+  EXPECT_EQ(router.next_hop_fast(0, down), 6u);          // row 1, col 0
+  RouteState right = router.begin_directed(3);           // row 0, col 3
+  EXPECT_EQ(router.next_hop_fast(0, right), 1u);         // row 0, col 1
+}
+
+TEST(SparsePipeline, RoundBudgetScalesAreRead) {
+  // GossipMaxConfig::round_budget_scale stretches the routed gossip-max
+  // and data-spread, PushSumConfig::round_budget_scale the routed
+  // push-sum; an explicit 1 is the default run byte for byte.
+  for (const char* algo : {"chord-drr", "drr"}) {
+    api::RunSpec spec;
+    spec.n = 1024;
+    spec.seed = 7;
+    if (std::string_view{algo} == "drr") {
+      spec.topology.kind = sim::TopologyKind::kGrid2d;
+      spec.pipeline = api::Pipeline::kSparse;
+    }
+    for (const api::Aggregate agg : {api::Aggregate::kMax, api::Aggregate::kAve}) {
+      spec.aggregate = agg;
+      spec.config = std::monostate{};
+      const api::RunReport base = api::run(algo, spec);
+      ASSERT_TRUE(base.ok()) << base.error;
+      SparseGossipConfig cfg;
+      cfg.gossip_max.round_budget_scale = 1.0;
+      cfg.push_sum.round_budget_scale = 1.0;
+      spec.config = cfg;
+      EXPECT_EQ(api::report_checksum(api::run(algo, spec)), api::report_checksum(base)) << algo;
+
+      cfg.gossip_max.round_budget_scale = 2.0;
+      spec.config = cfg;
+      const api::RunReport gm = api::run(algo, spec);
+      // Max gossips in the gossip slot; Ave spreads in the spread slot.
+      const sim::Counters& gm_base =
+          agg == api::Aggregate::kMax ? base.phases.gossip : base.phases.spread;
+      const sim::Counters& gm_scaled =
+          agg == api::Aggregate::kMax ? gm.phases.gossip : gm.phases.spread;
+      EXPECT_GT(gm_scaled.rounds, gm_base.rounds) << algo;
+      EXPECT_GT(gm_scaled.sent, gm_base.sent) << algo;
+      if (agg == api::Aggregate::kMax) continue;
+
+      cfg.gossip_max.round_budget_scale = 1.0;
+      cfg.push_sum.round_budget_scale = 2.0;
+      spec.config = cfg;
+      const api::RunReport ps = api::run(algo, spec);
+      EXPECT_GT(ps.phases.gossip.rounds, base.phases.gossip.rounds) << algo;
+      EXPECT_GT(ps.phases.gossip.sent, base.phases.gossip.sent) << algo;
     }
   }
 }

@@ -11,7 +11,8 @@
 #      Phase III budget), timed as min-of-5 wall clock (one run under
 #      SMOKE), with a threads-1-vs-threads-4 output hash proving
 #      bit-identical reports, plus the sparse-pipeline sweep point
-#      (chord-drr/ave on the engine port) under the same timing + hash
+#      (chord-drr/ave on the Chord overlay; fault-free, so its routed
+#      Phase III runs in event time) under the same timing + hash
 #      discipline;
 #   2. the n-sweep scaling family (single runs at n = 65536 ... 16M):
 #      Table 1's separation on the complete graph (drr, uniform push-sum,
@@ -105,7 +106,7 @@ run_sweep() {
 
 run_sweep complete drr "$SWEEP_N" "$SWEEP_TRIALS"
 run_sweep grid drr "$SWEEP_N" "$SWEEP_TRIALS" --topology grid --diam-mult 0
-# The sparse-pipeline sweep point: chord-drr/ave on the engine port.
+# The sparse-pipeline sweep point: chord-drr/ave on the Chord overlay.
 run_sweep chord-overlay chord-drr "$SWEEP_N" "$SWEEP_TRIALS"
 # Large-n routed sweep point (flattened hot path trajectory); full
 # baseline only -- the CI smoke matrix stays small.
